@@ -74,8 +74,10 @@ class TrafficSpec:
     empirical_values: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.lambda_total <= 0.0:
-            raise ValueError("lambda_total must be positive")
+        if not 0.0 < self.lambda_total < math.inf:
+            raise ValueError(
+                f"lambda_total must be positive and finite, got {self.lambda_total!r}"
+            )
         if self.payload_mean <= 0.0:
             raise ValueError("payload_mean must be positive")
         if self.payload_variance < 0.0:
@@ -174,8 +176,8 @@ def _check_k(k: int) -> None:
 
 
 def _check_lambda(lam: float) -> None:
-    if not lam > 0.0:
-        raise ValueError(f"lambda must be positive, got {lam!r}")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam!r}")
 
 
 def erlang_wait(k: int, lam: float) -> float:

@@ -16,6 +16,15 @@ Three named PRNG substreams (arrivals, payloads, backoffs) are derived
 from the one seed, so changing one distribution never perturbs the
 others' draws. Identical (config, seed) gives bit-identical results; a
 run is sequential, and independent runs share no state.
+
+A run is streamed in fixed blocks of 2^20 frames (whole batches): each
+block draws its share of the three substreams, continues the arrival
+cumsum and the closed-form Lindley scan from the previous block's
+carries, and folds its statistics into running (n, mean, M2) moments
+merged with Chan et al.'s pairwise update. Memory therefore stays flat
+whatever ``num_frames`` is. Every per-frame time is bitwise the one an
+all-at-once run computes; a run of at most one block also reduces its
+statistics exactly as ``np.mean``/``np.std`` over the whole arrays do.
 """
 
 from __future__ import annotations
@@ -83,8 +92,8 @@ class SimConfig:
         elif self.k != 1:
             raise ValueError("standard mode uses k = 1")
         rates = self.source_rates
-        if not rates or any(r <= 0.0 for r in rates):
-            raise ValueError("every source rate must be positive")
+        if not rates or not all(0.0 < r < math.inf for r in rates):
+            raise ValueError("every source rate must be positive and finite")
         total = sum(rates)
         if not math.isclose(total, self.traffic.lambda_total, rel_tol=1e-9):
             raise ValueError(
@@ -117,6 +126,12 @@ class SimResult:
     Frame accounting: ``frames_generated = frames_measured +
     warmup_excluded + in_flight`` where in-flight frames never completed
     service by the horizon (e.g. a final partial batch).
+
+    ``interbatch_cv`` is the coefficient of variation of the times
+    between consecutive batch formations over the whole run, warmup
+    included (every arrival in standard mode); NaN with fewer than three
+    batches. ``to_dict`` leaves it out: ``validate_against_model``
+    reports it.
     """
 
     frames_generated: int
@@ -130,6 +145,7 @@ class SimResult:
     buffer_wait_ci95: float
     queue_wait_mean: float
     service_mean: float
+    interbatch_cv: float = math.nan
 
     def to_dict(self) -> dict:
         """JSON-ready mapping; undefined (NaN) statistics become null."""
@@ -180,26 +196,86 @@ def _sample_backoffs(
     return phy.slot * rng.integers(0, phy.cw + 1, size=n).astype(float)
 
 
-def _fifo_completions(ready: np.ndarray, service: np.ndarray) -> np.ndarray:
+def _fifo_completions(
+    ready: np.ndarray, service: np.ndarray, s0: float, m0: float
+) -> tuple[np.ndarray, float, float]:
     """Completion times of a FIFO single server fed jobs in index order.
 
     Closed form of the Lindley recursion C_i = max(ready_i, C_{i-1}) + s_i:
     with S the service prefix sums, C_i = S_i + max_{j<=i}(ready_j - S_{j-1}).
+    A run in blocks continues both scans from the earlier jobs' service
+    sum ``s0`` (0 at the start) and running maximum ``m0`` (-inf), which
+    keeps every completion bitwise equal to the whole-run scan. Returns
+    the completions and the carries for the next block.
     """
-    s_cum = np.cumsum(service)
-    s_prev = np.concatenate(([0.0], s_cum[:-1]))
-    return s_cum + np.maximum.accumulate(ready - s_prev)
+    s_cum = service.copy()
+    s_cum[0] += s0
+    np.cumsum(s_cum, out=s_cum)
+    peak = np.empty_like(s_cum)  # S_{j-1}, then ready_j - S_{j-1}, then its max
+    peak[0] = s0
+    peak[1:] = s_cum[:-1]
+    np.subtract(ready, peak, out=peak)
+    np.maximum.accumulate(peak, out=peak)
+    np.maximum(peak, m0, out=peak)
+    carries = float(s_cum[-1]), float(peak[-1])
+    s_cum += peak
+    return s_cum, *carries
 
 
-def _mean_std_ci(x: np.ndarray) -> tuple[float, float, float]:
-    n = x.size
-    if n == 0:
-        return math.nan, math.nan, math.nan
-    mean = float(np.mean(x))
-    if n < 2:
-        return mean, math.nan, math.nan
-    std = float(np.std(x, ddof=1))
-    return mean, std, 1.96 * std / math.sqrt(n)
+class _Moments:
+    """Running count, mean and M2 (sum of squared deviations) of a sample.
+
+    Blocks merge with the pairwise update of Chan, Golub and LeVeque, and
+    a single block reproduces ``np.mean`` and ``np.std(ddof=1)`` bit for
+    bit. ``add(x)`` uses ``x`` as scratch space; ``add(x, spread=False)``
+    leaves it alone and tracks the mean only (M2 becomes NaN).
+    """
+
+    __slots__ = ("n", "mean", "m2")
+
+    def __init__(self) -> None:
+        self.n = 0
+        self.mean = math.nan
+        self.m2 = math.nan
+
+    def add(self, x: np.ndarray, spread: bool = True) -> None:
+        n = x.size
+        if n == 0:
+            return
+        mean = float(np.sum(x) / n)
+        if spread:
+            x -= mean
+            x *= x
+            self.merge(n, mean, float(np.sum(x)))
+        else:
+            self.merge(n, mean, math.nan)
+
+    def merge(self, n: int, mean: float, m2: float) -> None:
+        if n == 0:
+            return
+        if self.n == 0:
+            self.n, self.mean, self.m2 = n, mean, m2
+            return
+        total = self.n + n
+        delta = mean - self.mean
+        self.mean += delta * n / total
+        self.m2 += m2 + delta * delta * self.n * n / total
+        self.n = total
+
+    @property
+    def stddev(self) -> float:
+        return math.sqrt(self.m2 / (self.n - 1)) if self.n >= 2 else math.nan
+
+    @property
+    def ci95(self) -> float:
+        return 1.96 * self.stddev / math.sqrt(self.n) if self.n >= 2 else math.nan
+
+
+#: Frames per internal block, rounded down to whole batches (at least one).
+#: Per-frame values do not depend on it, but merging the moments of more
+#: blocks rounds differently, so it is fixed: output bytes stay a function
+#: of (config, seed) alone.
+_BLOCK_FRAMES = 1 << 20
 
 
 def simulate(config: SimConfig) -> SimResult:
@@ -209,85 +285,101 @@ def simulate(config: SimConfig) -> SimResult:
     completed frames whose arrival index is at least ``warmup_frames``.
     In aggregated mode a trailing partial batch never completes and is
     reported as in-flight.
+
+    The run is walked in blocks of whole batches. Only the last arrival
+    and batch-formation times, the Lindley scan's service sum and running
+    maximum, and the running moments cross a block boundary, so memory
+    does not grow with ``num_frames``.
     """
-    lam = config.arrival_rate
+    aggregated = config.mode is SimMode.AGGREGATED
+    k = config.k
     n = config.num_frames
+    warmup = config.warmup_frames
+    block = k * max(1, _BLOCK_FRAMES // k)
+    scale = 1.0 / config.arrival_rate
+    gamma = overhead_gamma(config.phy).gamma_total
+    bit_rate = config.phy.bit_rate
     rng_arrivals = _substream(config.seed, "arrivals")
     rng_payloads = _substream(config.seed, "payloads")
     rng_backoffs = _substream(config.seed, "backoffs")
 
-    arrivals = np.cumsum(rng_arrivals.exponential(1.0 / lam, size=n))
-    payloads = _sample_payloads(rng_payloads, config.traffic, n)
-    gamma = overhead_gamma(config.phy).gamma_total
-    bit_rate = config.phy.bit_rate
+    sojourn, buffer_wait, queue_wait, service = (_Moments() for _ in range(4))
+    gaps = _Moments()  # between consecutive batch formations (all batches)
+    # Carried between blocks: the last arrival and batch-formation times,
+    # and the service prefix sum and running maximum of the Lindley scan.
+    last_arrival = 0.0
+    last_mark = math.nan
+    s_sum, s_peak = 0.0, -math.inf
+    completed = 0
+    for first in range(0, n, block):
+        size = min(block, n - first)
+        arrivals = rng_arrivals.exponential(scale, size=size)
+        arrivals[0] += last_arrival  # bitwise the whole-run cumsum
+        np.cumsum(arrivals, out=arrivals)
+        last_arrival = float(arrivals[-1])
+        payloads = _sample_payloads(rng_payloads, config.traffic, size)
 
-    if config.mode is SimMode.STANDARD:
-        completed = n
-        backoffs = _sample_backoffs(rng_backoffs, config.phy, n)
-        service = gamma + backoffs + payloads / bit_rate
-        ready = arrivals
-        buffer_wait = np.zeros(n)
-        frame_queue_wait = None  # filled below from the batch-level result
-        batch_of_frame = None
-    else:
-        k = config.k
-        n_batches = n // k
-        completed = n_batches * k
-        backoffs = _sample_backoffs(rng_backoffs, config.phy, n_batches)
-        ready = arrivals[k - 1 : completed : k]  # k-th arrival forms the batch
-        batch_payloads = payloads[:completed].reshape(n_batches, k).sum(axis=1)
-        service = gamma + backoffs + batch_payloads / bit_rate
-        buffer_wait = np.repeat(ready, k) - arrivals[:completed]
+        n_batches = size // k
+        done = n_batches * k
+        if n_batches == 0:
+            continue  # only a trailing partial batch: all in flight
+        completed += done
+        if aggregated:
+            ready = arrivals[k - 1 : done : k]  # k-th arrival forms the batch
+            payloads = payloads[:done].reshape(n_batches, k).sum(axis=1)
+        else:
+            ready = arrivals
+        # gamma + backoff + payload/bit_rate, in place
+        batch_service = _sample_backoffs(rng_backoffs, config.phy, n_batches)
+        batch_service += gamma
+        payloads /= bit_rate
+        batch_service += payloads
+        del payloads
 
-    if completed == 0:
-        nan = math.nan
-        return SimResult(
-            frames_generated=n,
-            frames_measured=0,
-            warmup_excluded=0,
-            in_flight=n,
-            sojourn_mean=nan,
-            sojourn_stddev=nan,
-            ci95_halfwidth=nan,
-            buffer_wait_mean=nan,
-            buffer_wait_ci95=nan,
-            queue_wait_mean=nan,
-            service_mean=nan,
+        completion, s_sum, s_peak = _fifo_completions(
+            ready, batch_service, s_sum, s_peak
         )
+        batch_queue_wait = completion - batch_service
+        batch_queue_wait -= ready
+        np.maximum(batch_queue_wait, 0.0, out=batch_queue_wait)
+        gaps.add(np.diff(ready, prepend=last_mark) if first else np.diff(ready))
+        last_mark = float(ready[-1])
 
-    completion = _fifo_completions(ready, service)
-    queue_wait = np.maximum(completion - service - ready, 0.0)
+        lo = min(max(warmup - first, 0), done)
+        if lo == done:
+            continue  # the whole block is warmup
+        frame_arrivals = arrivals[lo:done]
+        if aggregated:
+            queue_wait.add(np.repeat(batch_queue_wait, k)[lo:], spread=False)
+            service.add(np.repeat(batch_service, k)[lo:], spread=False)
+            completion = np.repeat(completion, k)
+            wait = np.repeat(ready, k)[lo:]
+            wait -= frame_arrivals
+            buffer_wait.add(wait)
+        else:
+            queue_wait.add(batch_queue_wait[lo:], spread=False)
+            service.add(batch_service[lo:], spread=False)
+        del batch_queue_wait, batch_service
+        sojourn_times = completion[lo:]  # completions become sojourns in place
+        sojourn_times -= frame_arrivals
+        sojourn.add(sojourn_times)
 
-    if config.mode is SimMode.STANDARD:
-        frame_completion = completion
-        frame_queue_wait = queue_wait
-        frame_service = service
-    else:
-        frame_completion = np.repeat(completion, config.k)
-        frame_queue_wait = np.repeat(queue_wait, config.k)
-        frame_service = np.repeat(service, config.k)
-
-    sojourn = frame_completion - arrivals[:completed]
-
-    warmup_excluded = min(config.warmup_frames, completed)
-    lo = warmup_excluded
-    sojourn_mean, sojourn_std, sojourn_ci = _mean_std_ci(sojourn[lo:])
-    buffer_mean, _, buffer_ci = _mean_std_ci(buffer_wait[lo:])
-    queue_mean = float(np.mean(frame_queue_wait[lo:])) if completed > lo else math.nan
-    service_mean = float(np.mean(frame_service[lo:])) if completed > lo else math.nan
-
+    warmup_excluded = min(warmup, completed)
+    if not aggregated:
+        buffer_wait.merge(completed - warmup_excluded, 0.0, 0.0)
     return SimResult(
         frames_generated=n,
         frames_measured=completed - warmup_excluded,
         warmup_excluded=warmup_excluded,
         in_flight=n - completed,
-        sojourn_mean=sojourn_mean,
-        sojourn_stddev=sojourn_std,
-        ci95_halfwidth=sojourn_ci,
-        buffer_wait_mean=buffer_mean,
-        buffer_wait_ci95=buffer_ci,
-        queue_wait_mean=queue_mean,
-        service_mean=service_mean,
+        sojourn_mean=sojourn.mean,
+        sojourn_stddev=sojourn.stddev,
+        ci95_halfwidth=sojourn.ci95,
+        buffer_wait_mean=buffer_wait.mean,
+        buffer_wait_ci95=buffer_wait.ci95,
+        queue_wait_mean=queue_wait.mean,
+        service_mean=service.mean,
+        interbatch_cv=gaps.stddev / gaps.mean if gaps.n >= 2 else math.nan,
     )
 
 
@@ -368,20 +460,6 @@ def validate_against_model(
         else bool(abs_dev <= result.ci95_halfwidth)
     )
 
-    # Reproduce the arrival substream to measure the inter-batch CV.
-    rng_arrivals = _substream(config.seed, "arrivals")
-    arrivals = np.cumsum(rng_arrivals.exponential(1.0 / lam, size=config.num_frames))
-    if config.mode is SimMode.AGGREGATED:
-        marks = arrivals[config.k - 1 :: config.k]
-    else:
-        marks = arrivals
-    intervals = np.diff(marks)
-    cv = (
-        float(np.std(intervals, ddof=1) / np.mean(intervals))
-        if intervals.size >= 2
-        else math.nan
-    )
-
     return ValidationReport(
         mode=config.mode,
         k=k_eff,
@@ -393,7 +471,7 @@ def validate_against_model(
         abs_deviation=abs_dev,
         rel_deviation=rel_dev,
         within_ci95=within,
-        interbatch_cv=cv,
+        interbatch_cv=result.interbatch_cv,
     )
 
 

@@ -31,10 +31,12 @@ class SearchParams:
     scan_points: int = 64
 
     def __post_init__(self) -> None:
-        if self.lambda_min <= 0.0:
-            raise ValueError("lambda_min must be positive")
-        if self.lambda_max is not None and self.lambda_max <= self.lambda_min:
-            raise ValueError("lambda_max must exceed lambda_min")
+        if not 0.0 < self.lambda_min < math.inf:
+            raise ValueError("lambda_min must be positive and finite")
+        if self.lambda_max is not None and not (
+            self.lambda_min < self.lambda_max < math.inf
+        ):
+            raise ValueError("lambda_max must be finite and exceed lambda_min")
         if self.rel_tol <= 0.0:
             raise ValueError("rel_tol must be positive")
         if self.max_iter < 1:

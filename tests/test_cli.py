@@ -406,3 +406,21 @@ def test_csv_formatting_uses_12_significant_digits(capsys):
     row = out.strip().splitlines()[1].split(",")
     # erlang_wait = 1/(2*1067): 12 significant digits
     assert row[2] == "0.000468603561387"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gain", "--k", "2", "--lambda", "inf"),
+        ("optimal-k", "--lambda", "inf", "--k-max", "3"),
+        ("simulate", "--mode", "standard", "--lambda", "inf", "--frames", "100000"),
+        ("simulate", "--mode", "standard", "--sources", "100,inf", "--frames", "100000"),
+        ("threshold", "--k", "2", "--lambda-max", "inf"),
+    ],
+)
+def test_non_finite_rate_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "finite" in err and "Traceback" not in err

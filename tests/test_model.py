@@ -313,3 +313,13 @@ def test_evaluate_satisfies_type_invariants():
             assert m.queue_wait == queue_wait(k, lam, phy, traffic, form)
         if k == 1:
             assert m.gain == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+def test_non_finite_rates_rejected(phy_b11, det800, bad):
+    with pytest.raises(ValueError, match="finite"):
+        TrafficSpec.deterministic(bad, 800.0)
+    with pytest.raises(ValueError, match="finite"):
+        erlang_wait(2, bad)
+    with pytest.raises(ValueError, match="finite"):
+        queue_wait(2, bad, phy_b11, det800)

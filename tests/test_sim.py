@@ -14,6 +14,7 @@ standard errors, so they are deterministic, not flaky.
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +32,7 @@ from aggdelay import (
     system_time,
     validate_against_model,
 )
+import aggdelay.sim as sim_module
 from conftest import custom_profile
 
 MD1_SERVICE = 4.5127272727272735e-4
@@ -380,3 +382,141 @@ def test_config_validation_errors(phy_b11, det800):
         SimConfig(**{**good, "seed": -1})
     with pytest.raises(ValueError):
         SimConfig(**{**good, "seed": 1.5})
+
+
+# --- streaming in fixed blocks ---------------------------------------------
+
+_STATS = (
+    "sojourn_mean",
+    "sojourn_stddev",
+    "ci95_halfwidth",
+    "buffer_wait_mean",
+    "buffer_wait_ci95",
+    "queue_wait_mean",
+    "service_mean",
+    "interbatch_cv",
+)
+
+
+def _blocked_and_whole(monkeypatch, config, block_frames):
+    """The run in one default block, then in patched small blocks."""
+    whole = simulate(config)
+    monkeypatch.setattr(sim_module, "_BLOCK_FRAMES", block_frames)
+    return simulate(config), whole
+
+
+def _assert_same_run(blocked, whole):
+    for name in ("frames_generated", "frames_measured", "warmup_excluded", "in_flight"):
+        assert getattr(blocked, name) == getattr(whole, name), name
+    for name in _STATS:
+        a, b = getattr(blocked, name), getattr(whole, name)
+        assert a == pytest.approx(b, rel=1e-11, abs=0.0), name
+
+
+@pytest.mark.parametrize(
+    "traffic",
+    [
+        TrafficSpec.deterministic(1000.0, 800.0),
+        TrafficSpec.exponential(1000.0, 800.0),
+        TrafficSpec.uniform_range(1000.0, 400.0, 1200.0),
+        TrafficSpec.empirical(1000.0, [640.0, 800.0, 960.0, 12000.0]),
+    ],
+    ids=lambda t: t.payload_family.value,
+)
+@pytest.mark.parametrize("mode", [SimMode.STANDARD, SimMode.AGGREGATED])
+def test_block_size_does_not_change_results(monkeypatch, phy_b11, traffic, mode):
+    # 3000 frames is not a multiple of k = 7: blocks round down to 2996.
+    k = 7 if mode is SimMode.AGGREGATED else 1
+    config = SimConfig(
+        mode=mode, phy=phy_b11, traffic=traffic, seed=21, num_frames=30_000,
+        warmup_frames=500, k=k,
+    )
+    _assert_same_run(*_blocked_and_whole(monkeypatch, config, 3000))
+
+
+def test_batch_larger_than_block(monkeypatch, phy_b11):
+    # Each block is then exactly one batch; 20_000 = 13 * 1500 + 500, so
+    # the last block is a partial batch that stays in flight.
+    traffic = TrafficSpec.exponential(2000.0, 800.0)
+    config = SimConfig(
+        mode=SimMode.AGGREGATED, phy=phy_b11, traffic=traffic, seed=5,
+        num_frames=20_000, warmup_frames=100, k=1500,
+    )
+    blocked, whole = _blocked_and_whole(monkeypatch, config, 1000)
+    _assert_same_run(blocked, whole)
+    assert blocked.in_flight == 500
+
+
+@pytest.mark.parametrize("mode, k", [(SimMode.STANDARD, 1), (SimMode.AGGREGATED, 4)])
+def test_warmup_spanning_several_blocks(monkeypatch, phy_b11, mode, k):
+    config = SimConfig(
+        mode=mode, phy=phy_b11, traffic=TrafficSpec.exponential(1200.0, 800.0),
+        seed=8, num_frames=30_000, warmup_frames=9_003, k=k,
+    )
+    blocked, whole = _blocked_and_whole(monkeypatch, config, 2000)
+    _assert_same_run(blocked, whole)
+    assert blocked.warmup_excluded == 9_003
+
+
+def test_trailing_partial_batch_in_last_block(monkeypatch, phy_b11):
+    traffic = TrafficSpec.exponential(1500.0, 800.0)
+    config = SimConfig(
+        mode=SimMode.AGGREGATED, phy=phy_b11, traffic=traffic, seed=13,
+        num_frames=40_003, warmup_frames=1_000, k=5,
+    )
+    blocked, whole = _blocked_and_whole(monkeypatch, config, 2500)
+    _assert_same_run(blocked, whole)
+    assert blocked.in_flight == 3
+
+
+def test_superposed_sources_in_blocks(monkeypatch, phy_b11):
+    traffic = TrafficSpec.exponential(1000.0, 800.0)
+    config = SimConfig(
+        mode=SimMode.STANDARD, phy=phy_b11, traffic=traffic, seed=34,
+        num_frames=30_000, warmup_frames=1_000, sources=(300.0, 500.0, 200.0),
+    )
+    _assert_same_run(*_blocked_and_whole(monkeypatch, config, 4096))
+
+
+def test_memory_does_not_grow_with_frames(monkeypatch, phy_b11):
+    monkeypatch.setattr(sim_module, "_BLOCK_FRAMES", 2048)
+    traffic = TrafficSpec.exponential(1000.0, 800.0)
+
+    def peak(num_frames):
+        config = SimConfig(
+            mode=SimMode.AGGREGATED, phy=phy_b11, traffic=traffic, seed=2,
+            num_frames=num_frames, warmup_frames=100, k=4,
+        )
+        tracemalloc.start()
+        try:
+            simulate(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small = peak(20_000)
+    assert peak(200_000) < 1.5 * small
+
+
+def test_interbatch_cv_matches_the_arrival_marks(phy_b11, det800):
+    # The streamed CV equals the one computed from the whole arrival
+    # stream: every arrival in standard mode, every k-th in aggregated.
+    for mode, k in ((SimMode.STANDARD, 1), (SimMode.AGGREGATED, 5)):
+        config = SimConfig(
+            mode=mode, phy=phy_b11, traffic=det800, seed=3, num_frames=20_001, k=k
+        )
+        rng = sim_module._substream(3, "arrivals")
+        arrivals = np.cumsum(rng.exponential(1.0 / 100.0, size=20_001))
+        gaps = np.diff(arrivals[k - 1 :: k])
+        expected = float(np.std(gaps, ddof=1) / np.mean(gaps))
+        assert simulate(config).interbatch_cv == expected
+        assert validate_against_model(config).interbatch_cv == expected
+
+
+def test_non_finite_source_rates_rejected(phy_b11, det800):
+    good = dict(
+        mode=SimMode.STANDARD, phy=phy_b11, traffic=det800, seed=1, num_frames=10
+    )
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(**{**good, "sources": (100.0, bad)})

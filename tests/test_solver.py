@@ -211,3 +211,11 @@ def test_k1_stability_limit(phy_b11, det800):
     assert k1_stability_limit(phy_b11, det800) == pytest.approx(
         1635.930993456276, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_search_params_reject_non_finite_bounds(bad):
+    with pytest.raises(ValueError, match="finite"):
+        SearchParams(lambda_min=bad)
+    with pytest.raises(ValueError, match="finite"):
+        SearchParams(lambda_max=bad)
