@@ -1,0 +1,164 @@
+"""Golden CLI output: the sha256 of stdout and the exit code per argv.
+
+The digests pin every byte the paper's runs write: CSV and JSON tables,
+non-finite literals, the exit code of a non-converging threshold, the
+simulator's seeded output and the ``--dump-config`` canonical form. A
+change that moves any of these bytes must re-pin the digest here and
+say so.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from aggdelay.cli import main
+
+SIM = ("--seed", "7", "--frames", "20000", "--warmup", "500")
+AGG = ("--mode", "aggregated", "--k", "5", "--lambda", "100", *SIM)
+
+CASES = {
+    "profiles-csv": ("profiles",),
+    "profiles-json": ("profiles", "--format", "json"),
+    "gain-csv": ("gain", "--k", "2", "--lambda", "1067"),
+    "gain-json-g54-exp": (
+        "gain", "--standard", "g", "--rate", "54e6", "--payload-family", "exponential",
+        "--payload-mean-bytes", "100", "--form", "general-pk", "--k", "4",
+        "--lambda", "2000", "--format", "json",
+    ),
+    "gain-uniform-caption": (
+        "gain", "--payload-uniform", "400:1200", "--caption-only-gamma", "--k", "3",
+        "--lambda", "900",
+    ),
+    "gain-empirical-backoff": (
+        "gain", "--payload-empirical", "400,800,1500", "--backoff-literal-us", "150",
+        "--k", "3", "--lambda", "700", "--format", "json",
+    ),
+    "sweep-fig3-csv": ("sweep", "--preset", "fig3"),
+    "sweep-fig3-json": ("sweep", "--preset", "fig3", "--format", "json"),
+    "sweep-nonfinite-csv": ("sweep", "--k", "1,2", "--lambda", "1e9"),
+    "sweep-nonfinite-json": ("sweep", "--k", "1,2", "--lambda", "1e9", "--format", "json"),
+    "sweep-unstable-grid-csv": ("sweep", "--k", "1,5", "--lambda", "2500:3000:2"),
+    "sweep-geometric-json": (
+        "sweep", "--preset", "fig3", "--k", "2..4", "--lambda", "10:1500:7",
+        "--grid-kind", "geometric", "--format", "json",
+    ),
+    "threshold-fig4-11": ("threshold", "--preset", "fig4-11"),
+    "threshold-fig5-54-json": ("threshold", "--preset", "fig5-54", "--format", "json"),
+    "threshold-nonconverging": (
+        "threshold", "--k", "5", "--lambda-min", "1", "--lambda-max", "100",
+    ),
+    "threshold-nonconverging-json": (
+        "threshold", "--k", "2,5", "--lambda-min", "1", "--lambda-max", "100",
+        "--format", "json",
+    ),
+    "optimal-k-csv": ("optimal-k", "--preset", "fig3", "--lambda", "1500", "--k-max", "20"),
+    "optimal-k-json": (
+        "optimal-k", "--preset", "fig3", "--lambda", "1500", "--k-max", "20",
+        "--format", "json",
+    ),
+    "simulate-json": ("simulate", *AGG),
+    "simulate-csv": ("simulate", *AGG, "--format", "csv"),
+    "simulate-reps-json": ("simulate", "--lambda", "300", *SIM, "--replications", "4"),
+    "simulate-reps-csv": (
+        "simulate", "--lambda", "300", *SIM, "--replications", "4", "--format", "csv",
+    ),
+    "simulate-sources-exp": (
+        "simulate", "--sources", "60,40", "--payload-family", "exponential",
+        "--payload-mean-bits", "800", "--seed", "1", "--frames", "5000", "--warmup", "0",
+    ),
+    "validate-json": ("validate", *AGG, "--form", "general-pk"),
+    "validate-csv": ("validate", *AGG, "--format", "csv"),
+    "validate-unstable-json": ("validate", "--mode", "standard", "--lambda", "3000", *SIM),
+    "validate-unstable-csv": (
+        "validate", "--mode", "standard", "--lambda", "3000", *SIM, "--format", "csv",
+    ),
+    "dump-config-fig3": ("sweep", "--preset", "fig3", "--dump-config"),
+    "dump-config-threshold": ("threshold", "--preset", "fig5-6", "--dump-config"),
+    "dump-config-simulate": ("simulate", *AGG, "--dump-config"),
+}
+
+CUSTOM_PHY = {
+    "phy": {
+        "standard": "custom",
+        "bit_rate_bps": 2e6,
+        "slot_us": 13.5,
+        "difs_us": 34.0,
+        "sifs_us": 9.0,
+        "preamble_us": 40.25,
+        "cw": 31,
+        "mac_header_bits": 224,
+        "crc_bits": 32,
+        "ack_bits": 112,
+        "ack_rate_bps": 1e6,
+        "backoff_override_us": 20.0,
+        "caption_only_overhead": True,
+    },
+    "traffic": {"payload_family": "exponential", "payload_mean_bytes": 125},
+    "form": "general-pk",
+    "k": [2, 4, 8],
+    "lambda": 321.5,
+}
+
+# (exit code, sha256 of stdout)
+DIGESTS = {
+    "dump-config-fig3": (0, "a17cac5a885687861218ebaeea9ad2949dd8b88103936f767412e25714e0f5e5"),
+    "dump-config-simulate": (0, "35e830980ae817e7424a87f3189f6a58cfcf8de225504be95f24ecd59baf4526"),
+    "dump-config-threshold": (0, "102d7e8d05874d33981b96e8154c099de0f0006bb3f33d437a6a76c420f326ca"),
+    "gain-csv": (0, "f05a586f2913936b655b6bf35a02b309cb3aa7410833943d73b258324288b99d"),
+    "gain-empirical-backoff": (0, "3a9980240eb222f498edeaf9aa05174ed1431bd7c66f74683480a78cb4bccd26"),
+    "gain-json-g54-exp": (0, "a6d93639e5e3c8def0085b9e33ed3fd97bc99cfd6a87f52dc77f88e3602843ff"),
+    "gain-uniform-caption": (0, "b518d34b0ea77b173797d5e8ae814adfb8351f7ef93dfdc2b95b2268996655b0"),
+    "optimal-k-csv": (0, "8b722834a32598bd8c0301396583b7f59d8e10f4e4d250eaffde20213c44e4b0"),
+    "optimal-k-json": (0, "bfd27a2717f22f0dcdf18295d2c493c69bb66b98222f83344dd1372e8df7fe92"),
+    "profiles-csv": (0, "f415bf8f7c6e0f19b29ec7078dd25580687cdf1ce62cca77024a8613aab9012e"),
+    "profiles-json": (0, "bb59fbc87247ff7ac2da442fd6147e0a2ce38810f67b2148f50d29f83f073940"),
+    "simulate-csv": (0, "7bd3d2d40286439cee333f1ef931f3f23f207f40a2ffa581d34ff01bcc650650"),
+    "simulate-json": (0, "715008b01057ae605fbf6581116023fc840a4452849782bab36b8cb6d8108c85"),
+    "simulate-reps-csv": (0, "24debc808b4cd0e77b0775fb8aa3051fa844bb26790b801830eff203e12cc98e"),
+    "simulate-reps-json": (0, "52129202747919f28dc5c1298198c69d621ba72e36ebdc098abcad9d2ff50e8d"),
+    "simulate-sources-exp": (0, "3aa9262a29b4bef1b5f608f0eb0ae15ebb6ba77f074b607a6a06c15e07cf357f"),
+    "sweep-fig3-csv": (0, "437a8faf4f1784e7c56fc3e7c8ed148d5f7128a16534b63826990a5312ee2424"),
+    "sweep-fig3-json": (0, "191e55c0f77aa587c295c93f6e996f06e5d76870f23e649071b907d988a1fcce"),
+    "sweep-geometric-json": (0, "0334674c604ceeac20c05dbc5a334c61d405ec3716344eb378fda5273360a1b1"),
+    "sweep-nonfinite-csv": (0, "2c4b1defd9e701a161099ed429373c725a8555eab148b9263d420a83fa45bbff"),
+    "sweep-nonfinite-json": (0, "503473be4c20d177da1017ebf9433df3cc4bb1360217bb9a49d19f85fb91730c"),
+    "sweep-unstable-grid-csv": (0, "fa9ea3109fded44915ee737fc5ed9fa082ac26fdb279b3234f750ff2d000bda2"),
+    "threshold-fig4-11": (0, "b6d3ede05e5f48f12c8c9e7b09ac7087111e716bf8350a15bb921a931a79a099"),
+    "threshold-fig5-54-json": (0, "26507c72584c42f74aa39cd0c3c2fb0e612db857a8dd05f8a5fb4d676c558691"),
+    "threshold-nonconverging": (3, "9cc11bcdf15f4031651fc7fef1b347ae5ee7a9a1bc61ca4f82fb42c0c5eb8bb0"),
+    "threshold-nonconverging-json": (3, "3d1e6b3cec018a1b2fe2a300ddc7631da4a60ce5aca6dae6040bc06d5db30eaf"),
+    "validate-csv": (0, "ac013b53d4a585d2f29bfe84036537c3a1a851fd062e10a7eb47d6c9f550f095"),
+    "validate-json": (0, "e3ca80b8cf4e0b7e99f37a05df0b298ea469b22a76f0402bcf594531ef2138fd"),
+    "validate-unstable-csv": (0, "e10200fa0c5a080e253a7523f32b05976b648c19a7d8de84fa2e149bebfc1b9d"),
+    "validate-unstable-json": (0, "d7d89c900e0e8cff9ad89f3a9d8aad59a066fa70566ccd20b056d91f0bd70348"),
+    "dump-config-custom": (0, "ba9d5d7f0cb32d8f23e5016b01ef4f9c21c782c901047b8e47a06d2fbb155573"),
+    "dump-config-custom-k4": (0, "ee620a97ad9a34c7bf5fbf68c4bbe9c64d5fd0d2a4c29555364e0f0f72bd552d"),
+    "gain-custom": (0, "1af1ff8f1915d677bdbed2e95907a613dec7bfdceaf95cf0ac860dce83c3a00f"),
+}
+
+
+def _digest(capsys, argv) -> tuple[int, str]:
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    return code, hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(capsys, name):
+    assert _digest(capsys, CASES[name]) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("extra", [(), ("--k", "4")], ids=["file", "flag-override"])
+def test_golden_dump_config_custom_phy(tmp_path, capsys, extra):
+    path = tmp_path / "custom.json"
+    path.write_text(json.dumps(CUSTOM_PHY))
+    argv = ("gain", "--config", str(path), *extra, "--dump-config")
+    assert _digest(capsys, argv) == DIGESTS[f"dump-config-custom{'-k4' if extra else ''}"]
+
+
+def test_golden_custom_phy_gain(tmp_path, capsys):
+    path = tmp_path / "custom.json"
+    path.write_text(json.dumps(CUSTOM_PHY))
+    argv = ("gain", "--config", str(path), "--k", "4")
+    assert _digest(capsys, argv) == DIGESTS["gain-custom"]
