@@ -1,25 +1,12 @@
-"""Command-line entry point.
+"""Command-line entry point: the subcommands in ``COMMANDS`` wrap the
+analytic model, the solver, and the simulator. Data goes to stdout or
+``--output``, diagnostics to stderr. Exit codes: 0 success, 2 bad config,
+3 threshold non-convergence, 4 simulation failure.
 
-Subcommands wrap the analytic model, the solver, and the simulator:
-
-    profiles    list the built-in standard/rate presets
-    gain        evaluate one G(k, lambda) point
-    sweep       (k, lambda) grid of the analytic chain
-    threshold   break-even rate lambda*(k) per k
-    optimal-k   batch size minimizing mean system time at one rate
-    simulate    one seeded Monte Carlo run (or replications)
-    validate    simulation vs analytic side-by-side
-
-Data goes to stdout or ``--output``; diagnostics go to stderr. Exit
-codes: 0 success, 2 configuration error, 3 threshold non-convergence,
-4 simulation failure.
-
-CSV contract: header
-``k,lambda,erlang_wait_s,service_mean_s,rho,queue_wait_s,system_time_s,gain_s,stable``,
-12 significant digits, ``.`` decimal separator, ``inf``/``-inf``/``nan``
-literals for non-finite values, booleans as ``true``/``false``, rows in
-k-outer lambda-inner order. The JSON config schema uses ``_us``/``_s``
-suffixed keys for durations; CSV durations are always seconds.
+``FLAGS`` maps each flag to a config path and ``SCHEMA`` lists the keys,
+defaults and types of each config section (other keys are errors). Every
+subcommand writes its records through ``emit``, as CSV or JSON under the
+README's "CSV contract"; config durations use ``_us``/``_s`` keys.
 """
 
 from __future__ import annotations
@@ -28,61 +15,39 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, fields, replace
+from operator import attrgetter
 
-from .model import PayloadFamily, PKForm, TrafficSpec
-from .phy import (
-    RATES_11B,
-    RATES_11G,
-    PhyProfile,
-    Standard,
-    overhead_gamma,
-    profile_for,
-)
-from .presets import PRESETS, preset
+from .model import PKForm, TrafficSpec
+from .phy import RATES_11B, RATES_11G, PhyProfile, Standard, overhead_gamma, profile_for
+from .presets import preset
 from .sim import SimConfig, SimMode, replications, simulate, validate_against_model
-from .solver import SearchParams, gain_grid, lambda_threshold, optimal_k
+from .solver import SearchParams, SweepRow, gain_grid, lambda_threshold, optimal_k
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_SIM = 4
 
-SWEEP_HEADER = (
-    "k,lambda,erlang_wait_s,service_mean_s,rho,queue_wait_s,"
-    "system_time_s,gain_s,stable"
-)
-THRESHOLD_HEADER = "k,lambda_star,lambda_low,lambda_high,iterations,converged,note"
-PROFILES_HEADER = (
-    "standard,rate_bps,slot_us,difs_us,sifs_us,preamble_us,cw,"
-    "mac_header_bits,crc_bits,ack_bits,ack_rate_bps,gamma_us"
-)
-SIM_HEADER = (
-    "seed,frames_generated,frames_measured,warmup_excluded,in_flight,"
-    "sojourn_mean_s,sojourn_stddev_s,ci95_halfwidth_s,buffer_wait_mean_s,"
-    "buffer_wait_ci95_s,queue_wait_mean_s,service_mean_s"
-)
-
 
 class ConfigError(ValueError):
     """Bad command line, config file, or parameter combination."""
 
 
-# --------------------------------------------------------------------------
-# formatting
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise ConfigError(message)
 
 
 def fmt(value) -> str:
-    """Deterministic CSV cell: 12 significant digits for floats."""
+    """Deterministic CSV cell: 12 significant digits; a JSON null is nan."""
+    if isinstance(value, float):
+        return f"{value:.12g}"  # also spells inf, -inf and nan
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return f"{value:.12g}"
-    return str(value)
+    return "nan" if value is None else str(value)
 
 
 def _json_value(value):
@@ -92,23 +57,13 @@ def _json_value(value):
     return value
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
-
-
 def _to_us(seconds: float) -> float:
     """Microsecond value that divides back to exactly ``seconds``."""
     us = seconds * 1e6
-    if us / 1e6 == seconds:
-        return us
-    for candidate in (math.nextafter(us, math.inf), math.nextafter(us, -math.inf)):
+    for candidate in (us, math.nextafter(us, math.inf), math.nextafter(us, -math.inf)):
         if candidate / 1e6 == seconds:
             return candidate
     return us
-
-
-# --------------------------------------------------------------------------
-# run configuration
 
 
 @dataclass(frozen=True)
@@ -121,14 +76,12 @@ class GridSpec:
     points: int
 
     def __post_init__(self) -> None:
-        if self.kind not in ("linear", "geometric"):
-            raise ConfigError(f"grid kind must be linear or geometric, got {self.kind!r}")
-        if not self.min < self.max:
-            raise ConfigError("grid needs min < max")
-        if self.min <= 0.0:
-            raise ConfigError("grid rates must be positive")
-        if self.points < 2:
-            raise ConfigError("grid needs points >= 2")
+        _require(self.kind in ("linear", "geometric"),
+                 f"grid kind must be linear or geometric, got {self.kind!r}")
+        _require(math.isfinite(self.min) and math.isfinite(self.max),
+                 f"lambda grid needs a finite min and max, got {self.min}:{self.max}")
+        _require(0.0 < self.min < self.max, "grid needs 0 < min < max")
+        _require(self.points >= 2, "grid needs points >= 2")
 
     def values(self) -> list[float]:
         n = self.points
@@ -142,479 +95,301 @@ class GridSpec:
         return vals
 
 
-@dataclass(frozen=True)
-class SimSettings:
-    mode: SimMode
-    seed: int
-    num_frames: int
-    warmup_frames: int
-    k: int
-    sources: tuple[float, ...] | None
-    replications: int
+def _floats(values) -> list[float]:
+    return [float(v) for v in (values.split(",") if isinstance(values, str) else values)]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one subcommand invocation needs, config-file round-trippable."""
+def _seconds(us) -> float:
+    return float(us) / 1e6
 
-    phy: PhyProfile
-    traffic: TrafficSpec
-    form: PKForm
-    k_values: tuple[int, ...]
-    k_max: int | None
-    lam: float | None
-    grid: GridSpec | None
-    sim: SimSettings | None
-    search: SearchParams | None
-    out_format: str
-    out_path: str | None
+
+REQUIRED = object()  # default of a key that has none
+_NUMBER = (REQUIRED, float)
+_PHY_TIMES = ("slot_us", "difs_us", "sifs_us", "preamble_us")
+_PHY_COUNTS = ("cw", "mac_header_bits", "crc_bits", "ack_bits")
+_PHY_OPTIONS = {"backoff_override_us": (None, _seconds), "caption_only_overhead": (False, bool)}
+_MEANS = {"payload_mean_bits": (None, float), "payload_mean_bytes": (None, float)}
+
+# Key -> (default, type) per config section. phy and traffic have one key
+# set per variant, named by the key in _VARIANT (first variant: default).
+# phy reads _us values into seconds.
+SCHEMA = {
+    "phy": {
+        "b": {"rate_bps": (11e6, float), **_PHY_OPTIONS},
+        "g": {"rate_bps": _NUMBER, **_PHY_OPTIONS},
+        "custom": {
+            "bit_rate_bps": _NUMBER,
+            **{key: (REQUIRED, _seconds) for key in _PHY_TIMES},
+            **{key: (REQUIRED, int) for key in _PHY_COUNTS},
+            "ack_rate_bps": _NUMBER,
+            **_PHY_OPTIONS,
+        },
+    },
+    "traffic": {
+        "deterministic": _MEANS,
+        "exponential": _MEANS,
+        "uniform-range": {"uniform_lo_bits": _NUMBER, "uniform_hi_bits": _NUMBER},
+        "empirical": {"empirical_values_bits": (REQUIRED, _floats)},
+    },
+    "lambda": {"kind": ("linear", str), "min": _NUMBER, "max": _NUMBER, "points": (REQUIRED, int)},
+    "sim": {
+        "mode": ("standard", lambda mode: SimMode(mode).value),
+        "seed": (0, int),
+        "num_frames": (100_000, int),
+        "warmup_frames": (1_000, int),
+        "k": (None, int),  # 1 in standard mode; aggregated mode needs it
+        "sources": (None, _floats),
+        "replications": (1, int),
+    },
+    "search": {
+        f.name: (f.default, float if f.default is None else type(f.default))
+        for f in fields(SearchParams)
+    },
+    "output": {"format": ("csv", str), "path": (None, str)},
+}
+_VARIANT = {"phy": "standard", "traffic": "payload_family"}
+TOP_LEVEL_KEYS = {"form", "k", "k_max", *SCHEMA}
+
+
+def _section(name: str, section) -> dict:
+    """``section`` checked against SCHEMA: typed, with defaults filled in."""
+    section = section or {}
+    _require(isinstance(section, dict), f"config section {name!r} must be an object")
+    schema, where = SCHEMA[name], ""
+    if name in _VARIANT:
+        key = _VARIANT[name]
+        variant, valid = section.get(key, next(iter(schema))), list(schema)
+        _require(variant in valid, f"{name}.{key} must be one of {valid}, got {variant!r}")
+        schema, where = {key: (variant, str), **schema[variant]}, f" for {name}.{key} {variant!r}"
+    unknown = [f"{name}.{key}" for key in section if key not in schema]
+    _require(not unknown, f"unknown config keys: {', '.join(unknown)}{where}")
+    out = {}
+    for key, (default, kind) in schema.items():
+        _require(section.get(key) is not None or default is not REQUIRED, f"missing {name}.{key}")
+        value = section.get(key, default)
+        try:
+            out[key] = value if value is None else kind(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"bad value for {name}.{key}: {value!r}") from None
+    return out
+
+
+# Everything one subcommand needs; ``sim`` is the checked sim section.
+RunConfig = namedtuple(
+    "RunConfig", "phy traffic form k_values k_max lam grid sim search out_format out_path"
+)
+
+
+def _phy_field(key: str) -> str:
+    return "bit_rate" if key == "rate_bps" else key.removesuffix("_us").removesuffix("_bps")
 
 
 def _parse_phy(section: dict) -> PhyProfile:
-    std = section.get("standard")
-    if std in ("b", "g"):
-        if "rate_bps" not in section:
-            raise ConfigError("phy.rate_bps is required for standard presets")
-        profile = profile_for(std, float(section["rate_bps"]))
-        override = section.get("backoff_override_us")
-        if override is not None:
-            profile = replace(profile, backoff_override=float(override) / 1e6)
-        if section.get("caption_only_overhead", False):
-            profile = replace(profile, caption_only_overhead=True)
-        return profile
-    if std == "custom":
-        required = (
-            "bit_rate_bps",
-            "slot_us",
-            "difs_us",
-            "sifs_us",
-            "preamble_us",
-            "cw",
-            "mac_header_bits",
-            "crc_bits",
-            "ack_bits",
-            "ack_rate_bps",
-        )
-        missing = [key for key in required if key not in section]
-        if missing:
-            raise ConfigError(f"custom phy is missing keys: {', '.join(missing)}")
-        override = section.get("backoff_override_us")
-        return PhyProfile(
-            standard_id=Standard.CUSTOM,
-            bit_rate=float(section["bit_rate_bps"]),
-            slot=float(section["slot_us"]) / 1e6,
-            difs=float(section["difs_us"]) / 1e6,
-            sifs=float(section["sifs_us"]) / 1e6,
-            preamble=float(section["preamble_us"]) / 1e6,
-            cw=int(section["cw"]),
-            mac_header_bits=int(section["mac_header_bits"]),
-            crc_bits=int(section["crc_bits"]),
-            ack_bits=int(section["ack_bits"]),
-            ack_rate=float(section["ack_rate_bps"]),
-            backoff_override=None if override is None else float(override) / 1e6,
-            caption_only_overhead=bool(section.get("caption_only_overhead", False)),
-        )
-    raise ConfigError(f"phy.standard must be 'b', 'g', or 'custom', got {std!r}")
+    values = {_phy_field(key): value for key, value in section.items() if key != "standard"}
+    if section["standard"] == "custom":
+        return PhyProfile(standard_id=Standard.CUSTOM, **values)
+    return replace(profile_for(section["standard"], values.pop("bit_rate")), **values)
+
+
+def _phy_config(profile: PhyProfile, keys) -> dict:
+    values = {key: getattr(profile, _phy_field(key)) for key in keys}
+    return {k: _to_us(v) if k.endswith("_us") and v is not None else v for k, v in values.items()}
 
 
 def _dump_phy(profile: PhyProfile) -> dict:
-    if profile.standard_id is not Standard.CUSTOM:
-        out = {
-            "standard": profile.standard_id.value,
-            "rate_bps": profile.bit_rate,
-        }
-        if profile.backoff_override is not None:
-            out["backoff_override_us"] = _to_us(profile.backoff_override)
-        if profile.caption_only_overhead:
-            out["caption_only_overhead"] = True
-        return out
-    return {
-        "standard": "custom",
-        "bit_rate_bps": profile.bit_rate,
-        "slot_us": _to_us(profile.slot),
-        "difs_us": _to_us(profile.difs),
-        "sifs_us": _to_us(profile.sifs),
-        "preamble_us": _to_us(profile.preamble),
-        "cw": profile.cw,
-        "mac_header_bits": profile.mac_header_bits,
-        "crc_bits": profile.crc_bits,
-        "ack_bits": profile.ack_bits,
-        "ack_rate_bps": profile.ack_rate,
-        "backoff_override_us": (
-            None
-            if profile.backoff_override is None
-            else _to_us(profile.backoff_override)
-        ),
-        "caption_only_overhead": profile.caption_only_overhead,
-    }
+    standard = profile.standard_id.value
+    out = {"standard": standard, **_phy_config(profile, SCHEMA["phy"][standard])}
+    if standard == "custom":
+        return out  # custom profiles spell out every key, presets what they change
+    return {k: v for k, v in out.items() if k not in _PHY_OPTIONS or v != _PHY_OPTIONS[k][0]}
 
 
 def _parse_traffic(section: dict, lam: float) -> TrafficSpec:
-    family_name = section.get("payload_family", "deterministic")
-    try:
-        family = PayloadFamily(family_name)
-    except ValueError:
-        valid = ", ".join(f.value for f in PayloadFamily)
-        raise ConfigError(
-            f"unknown payload_family {family_name!r}; valid: {valid}"
-        ) from None
-
-    has_bits = "payload_mean_bits" in section
-    has_bytes = "payload_mean_bytes" in section
-    if has_bits and has_bytes:
-        raise ConfigError(
-            "payload_mean_bits and payload_mean_bytes are mutually exclusive"
-        )
-    mean_bits = None
-    if has_bits:
-        mean_bits = float(section["payload_mean_bits"])
-    elif has_bytes:
-        mean_bits = 8.0 * float(section["payload_mean_bytes"])
-
-    if family is PayloadFamily.UNIFORM_RANGE:
-        if mean_bits is not None:
-            raise ConfigError("uniform-range derives its mean from lo/hi")
-        if "uniform_lo_bits" not in section or "uniform_hi_bits" not in section:
-            raise ConfigError("uniform-range needs uniform_lo_bits and uniform_hi_bits")
-        return TrafficSpec.uniform_range(
-            lam, float(section["uniform_lo_bits"]), float(section["uniform_hi_bits"])
-        )
-    if family is PayloadFamily.EMPIRICAL:
-        if mean_bits is not None:
-            raise ConfigError("empirical derives its mean from the value list")
-        values = section.get("empirical_values_bits")
-        if not values:
-            raise ConfigError("empirical needs a non-empty empirical_values_bits list")
-        return TrafficSpec.empirical(lam, values)
-    if mean_bits is None:
-        raise ConfigError(
-            "one of payload_mean_bits / payload_mean_bytes is required"
-        )
-    if family is PayloadFamily.DETERMINISTIC:
-        return TrafficSpec.deterministic(lam, mean_bits)
-    return TrafficSpec.exponential(lam, mean_bits)
+    family = section["payload_family"]
+    if family == "uniform-range":
+        lo, hi = section["uniform_lo_bits"], section["uniform_hi_bits"]
+        return TrafficSpec.uniform_range(lam, lo, hi)
+    if family == "empirical":
+        return TrafficSpec.empirical(lam, section["empirical_values_bits"])
+    bits, nbytes = section["payload_mean_bits"], section["payload_mean_bytes"]
+    _require(bits is None or nbytes is None,
+             "payload_mean_bits and payload_mean_bytes are mutually exclusive")
+    if bits is None:  # 800 bits is the package's default payload
+        bits = 800.0 if nbytes is None else 8.0 * nbytes
+    build = TrafficSpec.deterministic if family == "deterministic" else TrafficSpec.exponential
+    return build(lam, bits)
 
 
 def _dump_traffic(traffic: TrafficSpec) -> dict:
-    out = {"payload_family": traffic.payload_family.value}
-    if traffic.payload_family is PayloadFamily.UNIFORM_RANGE:
-        out["uniform_lo_bits"] = traffic.uniform_lo
-        out["uniform_hi_bits"] = traffic.uniform_hi
-    elif traffic.payload_family is PayloadFamily.EMPIRICAL:
-        out["empirical_values_bits"] = list(traffic.empirical_values)
-    else:
-        out["payload_mean_bits"] = traffic.payload_mean
+    family = traffic.payload_family.value
+    out = {"payload_family": family}
+    for key in SCHEMA["traffic"][family]:
+        if key != "payload_mean_bytes":
+            value = getattr(traffic, key.removesuffix("_bits"))
+            out[key] = list(value) if isinstance(value, tuple) else value
     return out
 
 
 def _parse_k_values(spec) -> tuple[int, ...]:
-    if isinstance(spec, int) and not isinstance(spec, bool):
-        return (spec,)
-    if isinstance(spec, str):
-        if ".." in spec:
-            lo_text, hi_text = spec.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
-            if lo > hi:
-                raise ConfigError(f"bad k range {spec!r}")
-            return tuple(range(lo, hi + 1))
-        return tuple(int(part) for part in spec.split(","))
-    if isinstance(spec, list):
-        return tuple(int(v) for v in spec)
-    raise ConfigError(f"cannot parse k specification {spec!r}")
+    if isinstance(spec, str) and ".." in spec:
+        lo, hi = (int(part) for part in spec.split("..", 1))
+        _require(lo <= hi, f"bad k range {spec!r}")
+        return tuple(range(lo, hi + 1))
+    if isinstance(spec, (str, int)) and not isinstance(spec, bool):
+        spec = str(spec).split(",")
+    _require(spec is None or isinstance(spec, list), f"cannot parse k specification {spec!r}")
+    return tuple(int(v) for v in spec or ())
 
 
 def _parse_lambda(spec) -> tuple[float | None, GridSpec | None]:
-    """Returns (fixed lambda, grid); exactly one is non-None."""
     if isinstance(spec, dict):
-        try:
-            grid = GridSpec(
-                kind=spec.get("kind", "linear"),
-                min=float(spec["min"]),
-                max=float(spec["max"]),
-                points=int(spec["points"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"lambda grid is missing key {exc}") from None
-        return None, grid
-    lam = float(spec)
-    if lam <= 0.0:
-        raise ConfigError("lambda must be positive")
+        return None, GridSpec(**_section("lambda", spec))
+    lam = None if spec is None else float(spec)
+    _require(lam is None or 0.0 < lam < math.inf, f"lambda must be positive and finite, got {lam}")
     return lam, None
+
+
+def _parse_sim(section) -> dict:
+    sim = _section("sim", section)
+    if sim["k"] is None:
+        _require(sim["mode"] == "standard", "aggregated simulation needs sim.k >= 2")
+        sim["k"] = 1
+    _require(sim["replications"] >= 1, "sim.replications must be >= 1")
+    return sim
 
 
 def parse_run_config(cfg: dict) -> RunConfig:
     """Build a validated RunConfig from a config mapping (JSON schema)."""
-    unknown = set(cfg) - {
-        "phy",
-        "traffic",
-        "form",
-        "k",
-        "k_max",
-        "lambda",
-        "sim",
-        "search",
-        "output",
-    }
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-
-    phy_section = dict(cfg.get("phy") or {})
-    phy_section.setdefault("standard", "b")
-    if phy_section["standard"] == "b":
-        phy_section.setdefault("rate_bps", 11e6)
-    phy = _parse_phy(phy_section)
-
-    lam = None
-    grid = None
-    if "lambda" in cfg and cfg["lambda"] is not None:
-        lam, grid = _parse_lambda(cfg["lambda"])
-
-    sim_settings = None
-    if "sim" in cfg and cfg["sim"] is not None:
-        section = dict(cfg["sim"])
-        sources = section.get("sources")
-        sources = None if sources is None else tuple(float(s) for s in sources)
-        if lam is None and sources is not None:
-            lam = sum(sources)
-        mode_name = section.get("mode", "standard")
-        try:
-            mode = SimMode(mode_name)
-        except ValueError:
-            raise ConfigError(
-                f"sim.mode must be 'standard' or 'aggregated', got {mode_name!r}"
-            ) from None
-        k_default = 1 if mode is SimMode.STANDARD else None
-        k = section.get("k", k_default)
-        if k is None:
-            raise ConfigError("aggregated simulation needs sim.k >= 2")
-        sim_settings = SimSettings(
-            mode=mode,
-            seed=int(section.get("seed", 0)),
-            num_frames=int(section.get("num_frames", 100_000)),
-            warmup_frames=int(section.get("warmup_frames", 1_000)),
-            k=int(k),
-            sources=sources,
-            replications=int(section.get("replications", 1)),
-        )
-        if sim_settings.replications < 1:
-            raise ConfigError("sim.replications must be >= 1")
-
-    traffic_section = dict(cfg.get("traffic") or {})
-    family_name = traffic_section.get("payload_family", "deterministic")
-    if (
-        family_name in ("deterministic", "exponential")
-        and "payload_mean_bits" not in traffic_section
-        and "payload_mean_bytes" not in traffic_section
-    ):
-        traffic_section["payload_mean_bits"] = 800.0  # package default payload
-    traffic = _parse_traffic(traffic_section, lam if lam is not None else 1.0)
-
-    form_name = cfg.get("form", PKForm.DETERMINISTIC_SERVICE.value)
-    try:
-        form = PKForm(form_name)
-    except ValueError:
-        valid = ", ".join(f.value for f in PKForm)
-        raise ConfigError(f"unknown form {form_name!r}; valid: {valid}") from None
-
-    k_values = _parse_k_values(cfg["k"]) if "k" in cfg and cfg["k"] is not None else ()
-    k_max = int(cfg["k_max"]) if cfg.get("k_max") is not None else None
-
-    search = None
-    if "search" in cfg and cfg["search"] is not None:
-        section = cfg["search"]
-        try:
-            search = SearchParams(
-                lambda_min=float(section.get("lambda_min", 1.0)),
-                lambda_max=(
-                    None
-                    if section.get("lambda_max") is None
-                    else float(section["lambda_max"])
-                ),
-                rel_tol=float(section.get("rel_tol", 1e-6)),
-                max_iter=int(section.get("max_iter", 200)),
-                scan_points=int(section.get("scan_points", 64)),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
-    output = cfg.get("output") or {}
-    out_format = output.get("format", "csv")
-    if out_format not in ("csv", "json"):
-        raise ConfigError(f"output.format must be csv or json, got {out_format!r}")
-
+    unknown = sorted(set(cfg) - TOP_LEVEL_KEYS)
+    _require(not unknown, f"unknown config keys: {', '.join(unknown)}")
+    lam, grid = _parse_lambda(cfg.get("lambda"))
+    sim = None if cfg.get("sim") is None else _parse_sim(cfg["sim"])
+    if lam is None and sim is not None and sim["sources"] is not None:
+        lam = sum(sim["sources"])
+    form = cfg.get("form", PKForm.DETERMINISTIC_SERVICE.value)
+    valid = [f.value for f in PKForm]
+    _require(form in valid, f"unknown form {form!r}; valid: {', '.join(valid)}")
+    output = _section("output", cfg.get("output"))
+    _require(output["format"] in ("csv", "json"),
+             f"output.format must be csv or json, got {output['format']!r}")
+    search = cfg.get("search")
     return RunConfig(
-        phy=phy,
-        traffic=traffic,
-        form=form,
-        k_values=k_values,
-        k_max=k_max,
+        phy=_parse_phy(_section("phy", cfg.get("phy"))),
+        traffic=_parse_traffic(_section("traffic", cfg.get("traffic")), lam or 1.0),
+        form=PKForm(form),
+        k_values=_parse_k_values(cfg.get("k")),
+        k_max=None if cfg.get("k_max") is None else int(cfg["k_max"]),
         lam=lam,
         grid=grid,
-        sim=sim_settings,
-        search=search,
-        out_format=out_format,
-        out_path=output.get("path"),
+        sim=sim,
+        search=None if search is None else SearchParams(**_section("search", search)),
+        out_format=output["format"],
+        out_path=output["path"],
     )
 
 
 def dump_run_config(rc: RunConfig) -> dict:
     """Canonical config mapping; parse_run_config inverts it exactly."""
-    out: dict = {
+    out = {
         "phy": _dump_phy(rc.phy),
         "traffic": _dump_traffic(rc.traffic),
         "form": rc.form.value,
         "output": {"format": rc.out_format, "path": rc.out_path},
+        "k": list(rc.k_values) or None,
+        "k_max": rc.k_max,
+        "lambda": rc.lam if rc.grid is None else asdict(rc.grid),
+        "sim": None if rc.sim is None else dict(rc.sim),
+        "search": None if rc.search is None else asdict(rc.search),
     }
-    if rc.k_values:
-        out["k"] = list(rc.k_values)
-    if rc.k_max is not None:
-        out["k_max"] = rc.k_max
-    if rc.grid is not None:
-        out["lambda"] = {
-            "kind": rc.grid.kind,
-            "min": rc.grid.min,
-            "max": rc.grid.max,
-            "points": rc.grid.points,
-        }
-    elif rc.lam is not None:
-        out["lambda"] = rc.lam
-    if rc.sim is not None:
-        out["sim"] = {
-            "mode": rc.sim.mode.value,
-            "seed": rc.sim.seed,
-            "num_frames": rc.sim.num_frames,
-            "warmup_frames": rc.sim.warmup_frames,
-            "k": rc.sim.k,
-            "sources": None if rc.sim.sources is None else list(rc.sim.sources),
-            "replications": rc.sim.replications,
-        }
-    if rc.search is not None:
-        out["search"] = {
-            "lambda_min": rc.search.lambda_min,
-            "lambda_max": rc.search.lambda_max,
-            "rel_tol": rc.search.rel_tol,
-            "max_iter": rc.search.max_iter,
-            "scan_points": rc.search.scan_points,
-        }
-    return out
+    return {key: value for key, value in out.items() if value is not None}
 
 
-# --------------------------------------------------------------------------
-# argument handling
+def _uniform(text: str) -> dict:
+    lo, hi = map(float, text.split(":"))
+    return {"payload_family": "uniform-range", "uniform_lo_bits": lo, "uniform_hi_bits": hi}
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", metavar="FILE", help="JSON config file")
-    sub.add_argument("--preset", metavar="NAME", help="named preset (see README)")
-    sub.add_argument(
-        "--dump-config",
-        action="store_true",
-        help="print the effective config as JSON and exit",
-    )
-    sub.add_argument("--format", choices=("csv", "json"), default=None)
-    sub.add_argument("--output", metavar="PATH", default=None)
-    sub.add_argument("--standard", choices=("b", "g"), default=None)
-    sub.add_argument("--rate", type=float, default=None, help="PHY rate, bit/s")
-    sub.add_argument(
-        "--form", choices=tuple(f.value for f in PKForm), default=None
-    )
-    sub.add_argument("--payload-mean-bits", type=float, default=None)
-    sub.add_argument("--payload-mean-bytes", type=float, default=None)
-    sub.add_argument(
-        "--payload-family",
-        choices=tuple(f.value for f in PayloadFamily),
-        default=None,
-    )
-    sub.add_argument(
-        "--payload-uniform", metavar="LO:HI", default=None, help="bits, inclusive range"
-    )
-    sub.add_argument(
-        "--payload-empirical", metavar="V1,V2,...", default=None, help="bits"
-    )
-    sub.add_argument(
-        "--caption-only-gamma",
-        action="store_true",
-        help="overhead = difs + 2*preamble only",
-    )
-    sub.add_argument(
-        "--backoff-literal-us",
-        type=float,
-        default=None,
-        help="pin the mean backoff to this constant (us)",
-    )
+def _empirical(text: str) -> dict:
+    return {"payload_family": "empirical", "empirical_values_bits": _floats(text)}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _grid_or_rate(text: str):
+    if ":" not in text:
+        return float(text)
+    lo, hi, points = text.split(":")
+    return {"min": float(lo), "max": float(hi), "points": int(points)}
+
+
+SIM = ("simulate", "validate")
+RUNS = ("gain", "sweep", "threshold", "optimal-k", *SIM)
+
+# (flag, subcommands, argparse kwargs, config path). The argparse type of
+# the four composite flags parses their value; a dict merges at the path.
+# Rows apply in order: --payload-family overrides a payload form's family.
+FLAGS = (
+    ("--config", RUNS, dict(metavar="FILE", help="JSON config file"), None),
+    ("--preset", RUNS, dict(metavar="NAME", help="named preset (see README)"), None),
+    ("--dump-config", RUNS, dict(action="store_true", help="print the config and exit"), None),
+    ("--format", ("profiles", *RUNS), dict(choices=("csv", "json")), "output.format"),
+    ("--output", ("profiles", *RUNS), dict(metavar="PATH"), "output.path"),
+    ("--standard", RUNS, dict(choices=("b", "g")), "phy.standard"),
+    ("--rate", RUNS, dict(type=float, help="PHY rate, bit/s"), "phy.rate_bps"),
+    ("--form", RUNS, dict(choices=tuple(f.value for f in PKForm)), "form"),
+    ("--payload-mean-bits", RUNS, dict(type=float), "traffic.payload_mean_bits"),
+    ("--payload-mean-bytes", RUNS, dict(type=float), "traffic.payload_mean_bytes"),
+    ("--payload-uniform", RUNS, dict(type=_uniform, metavar="LO:HI", help="bits"), "traffic"),
+    ("--payload-empirical", RUNS, dict(type=_empirical, metavar="V1,V2,...", help="bits"),
+     "traffic"),
+    ("--payload-family", RUNS, dict(choices=tuple(SCHEMA["traffic"])), "traffic.payload_family"),
+    ("--caption-only-gamma", RUNS, dict(action="store_true", help="overhead = difs + 2*preamble"),
+     "phy.caption_only_overhead"),
+    ("--backoff-literal-us", RUNS, dict(type=float, help="fixed mean backoff (us)"),
+     "phy.backoff_override_us"),
+    ("--mode", SIM, dict(choices=("standard", "aggregated"), help="node model"), "sim.mode"),
+    ("--k", ("gain", "sweep", "threshold"), dict(help="e.g. 5, 2..10, or 2,5,8"), "k"),
+    ("--k", SIM, dict(type=int, help="batch size (aggregated mode)"), "sim.k"),
+    ("--lambda", ("gain", "optimal-k", *SIM), dict(type=float, help="rate (pps)"), "lambda"),
+    ("--lambda", ("sweep",), dict(type=_grid_or_rate, help="MIN:MAX:POINTS or a rate"), "lambda"),
+    ("--grid-kind", ("sweep",), dict(choices=("linear", "geometric")), "lambda.kind"),
+    # --lambda-min, --lambda-max, --rel-tol, --max-iter, --scan-points
+    *((f"--{key.replace('_', '-')}", ("threshold",), dict(type=kind), f"search.{key}")
+      for key, (_, kind) in SCHEMA["search"].items()),
+    ("--k-max", ("optimal-k",), dict(type=int), "k_max"),
+    ("--sources", SIM, dict(type=_floats, help="per-source rates, e.g. 50,50"), "sim.sources"),
+    ("--seed", SIM, dict(type=int, help="random seed"), "sim.seed"),
+    ("--frames", SIM, dict(type=int, help="frames to generate"), "sim.num_frames"),
+    ("--warmup", SIM, dict(type=int, help="frames left out at the start"), "sim.warmup_frames"),
+    ("--replications", ("simulate",), dict(type=int, help="seeds to run"), "sim.replications"),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone, or one listing every subcommand."""
     parser = argparse.ArgumentParser(
         prog="aggdelay",
         description="Decide when 802.11 frame aggregation reduces mean delay.",
     )
-    commands = parser.add_subparsers(dest="command")
-
-    p = commands.add_parser("profiles", help="list built-in standard/rate presets")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--output", metavar="PATH", default=None)
-
-    p = commands.add_parser("gain", help="evaluate one G(k, lambda) point")
-    _add_common_flags(p)
-    p.add_argument("--k", default=None, help="batch size")
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-
-    p = commands.add_parser("sweep", help="(k, lambda) grid of the analytic chain")
-    _add_common_flags(p)
-    p.add_argument("--k", default=None, help="e.g. 5, 2..10, or 2,5,8")
-    p.add_argument(
-        "--lambda", dest="lam", default=None, help="grid MIN:MAX:POINTS or one rate"
-    )
-    p.add_argument("--grid-kind", choices=("linear", "geometric"), default=None)
-
-    p = commands.add_parser("threshold", help="break-even rate lambda*(k) per k")
-    _add_common_flags(p)
-    p.add_argument("--k", default=None, help="e.g. 2..20")
-    p.add_argument("--lambda-min", type=float, default=None)
-    p.add_argument("--lambda-max", type=float, default=None)
-    p.add_argument("--rel-tol", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--scan-points", type=int, default=None)
-
-    p = commands.add_parser("optimal-k", help="best batch size at one rate")
-    _add_common_flags(p)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--k-max", type=int, default=None)
-
-    for name in ("simulate", "validate"):
-        p = commands.add_parser(name)
-        _add_common_flags(p)
-        p.add_argument("--mode", choices=("standard", "aggregated"), default=None)
-        p.add_argument("--k", type=int, default=None)
-        p.add_argument("--lambda", dest="lam", type=float, default=None)
-        p.add_argument(
-            "--sources", default=None, help="per-source rates, e.g. 50,50 (pps)"
-        )
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--frames", type=int, default=None)
-        p.add_argument("--warmup", type=int, default=None)
-        if name == "simulate":
-            p.add_argument("--replications", type=int, default=None)
-
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _) in COMMANDS.items():
+        if command not in (None, name):
+            continue
+        sub = subparsers.add_parser(name, help=help_text, description=help_text)
+        for flag, names, kwargs, _ in FLAGS:
+            if command in names:
+                sub.add_argument(flag, **kwargs)
     return parser
 
 
 def _merge(base: dict, extra: dict) -> dict:
     out = dict(base)
     for key, value in extra.items():
-        if (
-            key in out
-            and isinstance(out[key], dict)
-            and isinstance(value, dict)
-        ):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = value
+        if isinstance(out.get(key), dict) and isinstance(value, dict):
+            value = _merge(out[key], value)
+        out[key] = value
     return out
 
 
-def _config_from_args(args: argparse.Namespace) -> dict:
+def _config_from_args(command: str, args: argparse.Namespace) -> dict:
     """preset < config file < command-line flags."""
     cfg: dict = {}
     if getattr(args, "preset", None):
@@ -626,377 +401,174 @@ def _config_from_args(args: argparse.Namespace) -> dict:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-        except OSError as exc:
+        except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from None
-        if not isinstance(file_cfg, dict):
-            raise ConfigError("config file must hold a JSON object")
+        _require(isinstance(file_cfg, dict), "config file must hold a JSON object")
         cfg = _merge(cfg, file_cfg)
-
-    overrides: dict = {}
-    phy: dict = {}
-    if args.standard is not None:
-        phy["standard"] = args.standard
-    if args.rate is not None:
-        phy["rate_bps"] = args.rate
-    if args.caption_only_gamma:
-        phy["caption_only_overhead"] = True
-    if args.backoff_literal_us is not None:
-        phy["backoff_override_us"] = args.backoff_literal_us
-    if phy:
-        base_phy = cfg.get("phy", {})
-        if "standard" in phy and phy["standard"] != base_phy.get("standard"):
-            overrides["phy"] = phy  # switching standards replaces the block
+    flags: dict = {}
+    for flag, names, _, path in FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if path is None or command not in names or value is None or value is False:
+            continue
+        *parents, key = path.split(".")
+        node = flags
+        for part in parents:
+            node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            continue  # --grid-kind next to a single --lambda rate
+        if isinstance(value, dict):
+            node.setdefault(key, {}).update(value)
         else:
-            overrides["phy"] = _merge(base_phy, phy)
+            node[key] = value
 
-    traffic: dict = {}
-    if args.payload_family is not None:
-        traffic["payload_family"] = args.payload_family
-    if args.payload_mean_bits is not None:
-        traffic["payload_mean_bits"] = args.payload_mean_bits
-    if args.payload_mean_bytes is not None:
-        traffic["payload_mean_bytes"] = args.payload_mean_bytes
-    if args.payload_uniform is not None:
-        try:
-            lo_text, hi_text = args.payload_uniform.split(":", 1)
-            traffic["uniform_lo_bits"] = float(lo_text)
-            traffic["uniform_hi_bits"] = float(hi_text)
-        except ValueError:
-            raise ConfigError("--payload-uniform expects LO:HI") from None
-        traffic.setdefault("payload_family", "uniform-range")
-    if args.payload_empirical is not None:
-        traffic["empirical_values_bits"] = [
-            float(v) for v in args.payload_empirical.split(",")
-        ]
-        traffic.setdefault("payload_family", "empirical")
-    if traffic:
-        if "payload_mean_bits" in traffic or "payload_mean_bytes" in traffic:
-            base_traffic = dict(cfg.get("traffic", {}))
-            base_traffic.pop("payload_mean_bits", None)
-            base_traffic.pop("payload_mean_bytes", None)
-            overrides["traffic"] = _merge(base_traffic, traffic)
-        else:
-            overrides["traffic"] = _merge(cfg.get("traffic", {}), traffic)
-
-    if args.form is not None:
-        overrides["form"] = args.form
-    if getattr(args, "k", None) is not None and args.command not in (
-        "simulate",
-        "validate",
-    ):
-        overrides["k"] = args.k
-    if getattr(args, "k_max", None) is not None:
-        overrides["k_max"] = args.k_max
-
-    if getattr(args, "lam", None) is not None:
-        if args.command == "sweep" and isinstance(args.lam, str) and ":" in args.lam:
-            try:
-                lo_text, hi_text, pts_text = args.lam.split(":", 2)
-                grid = {
-                    "min": float(lo_text),
-                    "max": float(hi_text),
-                    "points": int(pts_text),
-                }
-            except ValueError:
-                raise ConfigError("--lambda grid expects MIN:MAX:POINTS") from None
-            if args.grid_kind is not None:
-                grid["kind"] = args.grid_kind
-            else:
-                grid["kind"] = cfg.get("lambda", {}).get("kind", "linear") if isinstance(cfg.get("lambda"), dict) else "linear"
-            overrides["lambda"] = grid
-        else:
-            overrides["lambda"] = float(args.lam)
-    elif getattr(args, "grid_kind", None) is not None and isinstance(
-        cfg.get("lambda"), dict
-    ):
-        overrides["lambda"] = _merge(cfg["lambda"], {"kind": args.grid_kind})
-
-    search: dict = {}
-    for flag, key in (
-        ("lambda_min", "lambda_min"),
-        ("lambda_max", "lambda_max"),
-        ("rel_tol", "rel_tol"),
-        ("max_iter", "max_iter"),
-        ("scan_points", "scan_points"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            search[key] = value
-    if search:
-        overrides["search"] = _merge(cfg.get("search", {}), search)
-    elif args.command == "threshold" and "search" not in cfg:
-        overrides["search"] = {}
-
-    sim: dict = {}
-    for flag, key in (
-        ("mode", "mode"),
-        ("seed", "seed"),
-        ("frames", "num_frames"),
-        ("warmup", "warmup_frames"),
-        ("replications", "replications"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            sim[key] = value
-    if args.command in ("simulate", "validate"):
-        if getattr(args, "k", None) is not None:
-            sim["k"] = args.k
-        if getattr(args, "sources", None) is not None:
-            sim["sources"] = [float(v) for v in args.sources.split(",")]
-        overrides["sim"] = _merge(cfg.get("sim", {}), sim)
-
-    output: dict = {}
-    if args.format is not None:
-        output["format"] = args.format
-    elif args.command in ("simulate", "validate") and not (
-        cfg.get("output") or {}
-    ).get("format"):
-        output["format"] = "json"
-    if args.output is not None:
-        output["path"] = args.output
-    if output:
-        overrides["output"] = _merge(cfg.get("output", {}), output)
-
-    return _merge(cfg, overrides)
+    # Merge rules. 1: switching phy.standard or payload_family keeps the base keys it accepts.
+    for name, key in _VARIANT.items():
+        base = cfg.get(name) or {}
+        new = flags.get(name, {}).get(key)
+        if new is not None and new != base.get(key, next(iter(SCHEMA[name]))):
+            cfg[name] = {k: v for k, v in base.items() if k in SCHEMA[name][new]}
+    # 2: a payload mean flag drops the base mean in either unit.
+    if _MEANS.keys() & flags.get("traffic", {}).keys():
+        cfg["traffic"] = {k: v for k, v in (cfg.get("traffic") or {}).items() if k not in _MEANS}
+    # 3: --grid-kind alone retypes a base grid (which a --lambda grid merges into) or is ignored.
+    lam = flags.get("lambda")
+    if isinstance(lam, dict) and "min" not in lam and not isinstance(cfg.get("lambda"), dict):
+        del flags["lambda"]
+    # 4: simulate and validate write JSON unless told otherwise.
+    if command in SIM and not (cfg.get("output") or {}).get("format"):
+        flags.setdefault("output", {}).setdefault("format", "json")
+    # threshold always has a search section, simulate and validate a sim one.
+    section = {"threshold": "search", "simulate": "sim", "validate": "sim"}.get(command)
+    if section:
+        flags.setdefault(section, {})
+    return _merge(cfg, flags)
 
 
-# --------------------------------------------------------------------------
-# command implementations
+# json.dumps(indent=2) writes in pure Python; for a list of flat records, json's C
+# encoder with these separators lays out each record the same way, faster.
+_flat_json = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": ")).encode
 
 
-def _emit(text: str, rc_path: str | None) -> None:
-    if rc_path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(rc_path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-
-
-def sweep_csv(rows) -> str:
-    lines = [SWEEP_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                fmt(value)
-                for value in (
-                    row.k,
-                    row.lam,
-                    row.erlang_wait,
-                    row.service_mean,
-                    row.rho,
-                    row.queue_wait,
-                    row.system_time,
-                    row.gain,
-                    row.stable,
-                )
-            )
-        )
+def _csv(header, rows) -> str:
+    """CSV text: the header, then the fmt cells of each row of values."""
+    lines = [",".join(header), *(",".join(map(fmt, values)) for values in rows)]
     return "\n".join(lines) + "\n"
 
 
+def _render(records, out_format: str) -> str:
+    """CSV (header: the record keys) or JSON text of a dict or a list of dicts."""
+    rows = [records] if isinstance(records, dict) else records
+    if out_format == "csv":
+        return _csv(rows[0], (row.values() for row in rows))
+    rows = [{key: _json_value(value) for key, value in row.items()} for row in rows]
+    flat = rows and not any(isinstance(v, (dict, list, tuple)) for v in rows[0].values())
+    if isinstance(records, list) and flat:
+        items = "\n  },\n  {\n    ".join(_flat_json(row)[1:-1] for row in rows)
+        return "[\n  {\n    " + items + "\n  }\n]\n"
+    data = rows[0] if isinstance(records, dict) else rows
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+SWEEP_HEADER = (
+    "k,lambda,erlang_wait_s,service_mean_s,rho,queue_wait_s,"
+    "system_time_s,gain_s,stable"
+)
+# Column -> SweepRow attribute; the row's fields are in column order.
+_SWEEP_FIELDS = dict(zip(SWEEP_HEADER.split(","), (f.name for f in fields(SweepRow))))
+_sweep_values = attrgetter(*_SWEEP_FIELDS.values())
+
+
+def sweep_csv(rows) -> str:
+    return _csv(_SWEEP_FIELDS, map(_sweep_values, rows))
+
+
 def sweep_json(rows) -> str:
-    payload = [
-        {
-            "k": row.k,
-            "lambda": row.lam,
-            "erlang_wait_s": _json_value(row.erlang_wait),
-            "service_mean_s": _json_value(row.service_mean),
-            "rho": _json_value(row.rho),
-            "queue_wait_s": _json_value(row.queue_wait),
-            "system_time_s": _json_value(row.system_time),
-            "gain_s": _json_value(row.gain),
-            "stable": row.stable,
-        }
-        for row in rows
-    ]
-    return _dump_json(payload) + "\n"
+    return _render([dict(zip(_SWEEP_FIELDS, _sweep_values(row))) for row in rows], "json")
 
 
-def _run_profiles(args: argparse.Namespace) -> int:
-    entries = []
+def emit(records, out_format: str, path: str | None) -> None:
+    """Write records (dicts, or SweepRows via sweep_csv/sweep_json) to path or stdout."""
+    if isinstance(records, list) and records and isinstance(records[0], SweepRow):
+        text = sweep_csv(records) if out_format == "csv" else sweep_json(records)
+    else:
+        text = _render(records, out_format)
+    with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
+        fh.write(text)
+
+
+def _run_profiles(rc: RunConfig) -> int:
+    records = []
     for std, rates in ((Standard.DOT11B, RATES_11B), (Standard.DOT11G, RATES_11G)):
         for rate in rates:
             profile = profile_for(std, rate)
-            entries.append(
-                {
-                    "standard": std.value,
-                    "rate_bps": profile.bit_rate,
-                    "slot_us": _to_us(profile.slot),
-                    "difs_us": _to_us(profile.difs),
-                    "sifs_us": _to_us(profile.sifs),
-                    "preamble_us": _to_us(profile.preamble),
-                    "cw": profile.cw,
-                    "mac_header_bits": profile.mac_header_bits,
-                    "crc_bits": profile.crc_bits,
-                    "ack_bits": profile.ack_bits,
-                    "ack_rate_bps": profile.ack_rate,
-                    "gamma_us": overhead_gamma(profile).gamma_total * 1e6,
-                }
-            )
-    if args.format == "json":
-        text = _dump_json(entries) + "\n"
-    else:
-        lines = [PROFILES_HEADER]
-        for e in entries:
-            lines.append(",".join(fmt(v) for v in e.values()))
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+            records.append({
+                "standard": std.value,
+                **_phy_config(profile, ("rate_bps", *_PHY_TIMES, *_PHY_COUNTS, "ack_rate_bps")),
+                "gamma_us": overhead_gamma(profile).gamma_total * 1e6,
+            })
+    emit(records, rc.out_format, rc.out_path)
     return EXIT_OK
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigError(message)
 
 
 def _run_gain(rc: RunConfig) -> int:
     _require(rc.lam is not None, "gain needs --lambda")
     _require(len(rc.k_values) == 1, "gain needs exactly one --k")
-    rows = gain_grid(rc.k_values, [rc.lam], rc.phy, rc.traffic, rc.form)
-    text = sweep_json(rows) if rc.out_format == "json" else sweep_csv(rows)
-    _emit(text, rc.out_path)
-    return EXIT_OK
+    return _run_sweep(rc)
 
 
 def _run_sweep(rc: RunConfig) -> int:
     _require(bool(rc.k_values), "sweep needs --k")
-    _require(
-        rc.grid is not None or rc.lam is not None,
-        "sweep needs --lambda (grid MIN:MAX:POINTS or a single rate)",
-    )
-    lam_values = rc.grid.values() if rc.grid is not None else [rc.lam]
+    _require(rc.grid is not None or rc.lam is not None,
+             "sweep needs --lambda (grid MIN:MAX:POINTS or a single rate)")
+    lam_values = [rc.lam] if rc.grid is None else rc.grid.values()
     rows = gain_grid(rc.k_values, lam_values, rc.phy, rc.traffic, rc.form)
-    text = sweep_json(rows) if rc.out_format == "json" else sweep_csv(rows)
-    _emit(text, rc.out_path)
+    emit(rows, rc.out_format, rc.out_path)
     return EXIT_OK
 
 
 def _run_threshold(rc: RunConfig) -> int:
     _require(bool(rc.k_values), "threshold needs --k")
     _require(all(k >= 2 for k in rc.k_values), "threshold needs every k >= 2")
-    search = rc.search if rc.search is not None else SearchParams()
-    results = [
-        lambda_threshold(k, rc.phy, rc.traffic, rc.form, search) for k in rc.k_values
-    ]
-    if rc.out_format == "json":
-        payload = [
-            {
-                "k": r.k,
-                "lambda_star": _json_value(r.lambda_star),
-                "lambda_low": r.bracket[0],
-                "lambda_high": r.bracket[1],
-                "iterations": r.iterations,
-                "converged": r.converged,
-                "note": r.note,
-            }
-            for r in results
-        ]
-        text = _dump_json(payload) + "\n"
-    else:
-        lines = [THRESHOLD_HEADER]
-        for r in results:
-            lines.append(
-                ",".join(
-                    fmt(v)
-                    for v in (
-                        r.k,
-                        r.lambda_star,
-                        r.bracket[0],
-                        r.bracket[1],
-                        r.iterations,
-                        r.converged,
-                        r.note,
-                    )
-                )
-            )
-        text = "\n".join(lines) + "\n"
-    _emit(text, rc.out_path)
-    if not all(r.converged for r in results):
-        failed = [str(r.k) for r in results if not r.converged]
-        print(
-            f"threshold did not converge for k = {', '.join(failed)}",
-            file=sys.stderr,
-        )
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    records = []
+    for k in rc.k_values:
+        r = lambda_threshold(k, rc.phy, rc.traffic, rc.form, rc.search)
+        records.append({
+            "k": r.k,
+            "lambda_star": r.lambda_star,
+            "lambda_low": r.bracket[0],
+            "lambda_high": r.bracket[1],
+            "iterations": r.iterations,
+            "converged": r.converged,
+            "note": r.note,
+        })
+    emit(records, rc.out_format, rc.out_path)
+    failed = ", ".join(str(r["k"]) for r in records if not r["converged"])
+    if failed:
+        print(f"threshold did not converge for k = {failed}", file=sys.stderr)
+    return EXIT_NO_CONVERGENCE if failed else EXIT_OK
 
 
 def _run_optimal_k(rc: RunConfig) -> int:
     _require(rc.lam is not None, "optimal-k needs --lambda")
     _require(rc.k_max is not None, "optimal-k needs --k-max")
     k_best, metrics = optimal_k(rc.lam, rc.phy, rc.traffic, rc.form, rc.k_max)
-    record = {
-        "k_best": k_best,
-        "k_max": rc.k_max,
-        "lambda": rc.lam,
-        "erlang_wait_s": metrics.erlang_wait,
-        "service_mean_s": metrics.service_mean,
-        "rho": metrics.rho,
-        "queue_wait_s": metrics.queue_wait,
-        "system_time_s": metrics.system_time,
-        "gain_s": metrics.gain,
-        "stable": metrics.stable,
-    }
-    if rc.out_format == "json":
-        text = _dump_json({k: _json_value(v) for k, v in record.items()}) + "\n"
-    else:
-        header = ",".join(record)
-        values = ",".join(fmt(v) for v in record.values())
-        text = header + "\n" + values + "\n"
-    _emit(text, rc.out_path)
+    record = {"k_best": k_best, "k_max": rc.k_max, "lambda": rc.lam}
+    record.update((key, getattr(metrics, attr)) for key, attr in list(_SWEEP_FIELDS.items())[2:])
+    emit(record, rc.out_format, rc.out_path)
     return EXIT_OK
 
 
 def _sim_config(rc: RunConfig) -> SimConfig:
-    _require(rc.sim is not None, "this command needs simulation settings")
-    _require(
-        rc.lam is not None, "simulation needs --lambda or --sources"
-    )
-    settings = rc.sim
-    return SimConfig(
-        mode=settings.mode,
-        phy=rc.phy,
-        traffic=rc.traffic,
-        seed=settings.seed,
-        num_frames=settings.num_frames,
-        warmup_frames=settings.warmup_frames,
-        k=settings.k,
-        sources=settings.sources,
-    )
-
-
-def _sim_rows(pairs) -> str:
-    lines = [SIM_HEADER]
-    for seed, result in pairs:
-        lines.append(
-            ",".join(
-                fmt(v)
-                for v in (
-                    seed,
-                    result.frames_generated,
-                    result.frames_measured,
-                    result.warmup_excluded,
-                    result.in_flight,
-                    result.sojourn_mean,
-                    result.sojourn_stddev,
-                    result.ci95_halfwidth,
-                    result.buffer_wait_mean,
-                    result.buffer_wait_ci95,
-                    result.queue_wait_mean,
-                    result.service_mean,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    _require(rc.lam is not None, "simulation needs --lambda or --sources")
+    settings = {key: rc.sim[key] for key in ("seed", "num_frames", "warmup_frames", "k")}
+    sources = None if rc.sim["sources"] is None else tuple(rc.sim["sources"])
+    mode = SimMode(rc.sim["mode"])
+    return SimConfig(mode=mode, phy=rc.phy, traffic=rc.traffic, sources=sources, **settings)
 
 
 def _run_simulate(rc: RunConfig) -> int:
     config = _sim_config(rc)
-    n = rc.sim.replications
+    n = rc.sim["replications"]
     try:
         if n == 1:
             pairs = [(config.seed, simulate(config))]
@@ -1006,14 +578,12 @@ def _run_simulate(rc: RunConfig) -> int:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_SIM
     if rc.out_format == "csv":
-        text = _sim_rows(pairs)
+        records = [{"seed": seed, **r.to_dict()} for seed, r in pairs]
     elif n == 1:
-        text = _dump_json(pairs[0][1].to_dict()) + "\n"
+        records = pairs[0][1].to_dict()
     else:
-        text = (
-            _dump_json([{"seed": s, "result": r.to_dict()} for s, r in pairs]) + "\n"
-        )
-    _emit(text, rc.out_path)
+        records = [{"seed": seed, "result": r.to_dict()} for seed, r in pairs]
+    emit(records, rc.out_format, rc.out_path)
     return EXIT_OK
 
 
@@ -1024,63 +594,50 @@ def _run_validate(rc: RunConfig) -> int:
     except Exception as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return EXIT_SIM
-    if rc.out_format == "csv":
-        sim_result = report.sim
-        record = {
-            "mode": report.mode.value,
-            "k": report.k,
-            "lambda": report.lam,
-            "form": report.form.value,
-            "analytic_stable": report.analytic_stable,
-            "analytic_system_time_s": report.analytic_system_time,
-            "sim_sojourn_mean_s": math.nan if sim_result is None else sim_result.sojourn_mean,
-            "ci95_halfwidth_s": math.nan if sim_result is None else sim_result.ci95_halfwidth,
-            "abs_deviation_s": report.abs_deviation,
-            "rel_deviation": report.rel_deviation,
-            "within_ci95": "" if report.within_ci95 is None else report.within_ci95,
-            "interbatch_cv": report.interbatch_cv,
-        }
-        text = (
-            ",".join(record)
-            + "\n"
-            + ",".join(fmt(v) for v in record.values())
-            + "\n"
-        )
-    else:
-        text = _dump_json(report.to_dict()) + "\n"
-    _emit(text, rc.out_path)
+    record = report.to_dict() if rc.out_format == "json" else {
+        "mode": report.mode.value,
+        "k": report.k,
+        "lambda": report.lam,
+        "form": report.form.value,
+        "analytic_stable": report.analytic_stable,
+        "analytic_system_time_s": report.analytic_system_time,
+        "sim_sojourn_mean_s": getattr(report.sim, "sojourn_mean", None),
+        "ci95_halfwidth_s": getattr(report.sim, "ci95_halfwidth", None),
+        "abs_deviation_s": report.abs_deviation,
+        "rel_deviation": report.rel_deviation,
+        "within_ci95": "" if report.within_ci95 is None else report.within_ci95,
+        "interbatch_cv": report.interbatch_cv,
+    }
+    emit(record, rc.out_format, rc.out_path)
     return EXIT_OK
 
 
-_HANDLERS = {
-    "gain": _run_gain,
-    "sweep": _run_sweep,
-    "threshold": _run_threshold,
-    "optimal-k": _run_optimal_k,
-    "simulate": _run_simulate,
-    "validate": _run_validate,
+# Subcommand -> (help, handler).
+COMMANDS = {
+    "profiles": ("list built-in standard/rate presets", _run_profiles),
+    "gain": ("evaluate one G(k, lambda) point", _run_gain),
+    "sweep": ("(k, lambda) grid of the analytic chain", _run_sweep),
+    "threshold": ("break-even rate lambda*(k) per k", _run_threshold),
+    "optimal-k": ("best batch size at one rate", _run_optimal_k),
+    "simulate": ("one seeded Monte Carlo run (or replications)", _run_simulate),
+    "validate": ("simulation vs analytic side-by-side", _run_validate),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_CONFIG
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_CONFIG
-    if args.command == "profiles":
-        return _run_profiles(args)
+        return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:
-        cfg = _config_from_args(args)
-        rc = parse_run_config(cfg)
-        if args.dump_config:
-            _emit(_dump_json(dump_run_config(rc)) + "\n", None)
+        rc = parse_run_config(_config_from_args(command, args))
+        if getattr(args, "dump_config", False):
+            emit(dump_run_config(rc), "json", None)
             return EXIT_OK
-        return _HANDLERS[args.command](rc)
+        return COMMANDS[command][1](rc)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
