@@ -151,6 +151,14 @@ _VARIANT = {"phy": "standard", "traffic": "payload_family"}
 TOP_LEVEL_KEYS = {"form", "k", "k_max", *SCHEMA}
 
 
+def _typed(name: str, value, kind):
+    """``value`` as ``kind`` (None stays None); a bad value names its key."""
+    try:
+        return value if value is None else kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad value for {name}: {value!r}") from None
+
+
 def _section(name: str, section) -> dict:
     """``section`` checked against SCHEMA: typed, with defaults filled in."""
     section = section or {}
@@ -166,11 +174,7 @@ def _section(name: str, section) -> dict:
     out = {}
     for key, (default, kind) in schema.items():
         _require(section.get(key) is not None or default is not REQUIRED, f"missing {name}.{key}")
-        value = section.get(key, default)
-        try:
-            out[key] = value if value is None else kind(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"bad value for {name}.{key}: {value!r}") from None
+        out[key] = _typed(f"{name}.{key}", section.get(key, default), kind)
     return out
 
 
@@ -238,13 +242,13 @@ def _parse_k_values(spec) -> tuple[int, ...]:
     if isinstance(spec, (str, int)) and not isinstance(spec, bool):
         spec = str(spec).split(",")
     _require(spec is None or isinstance(spec, list), f"cannot parse k specification {spec!r}")
-    return tuple(int(v) for v in spec or ())
+    return tuple(_typed("k", v, int) for v in spec or ())
 
 
 def _parse_lambda(spec) -> tuple[float | None, GridSpec | None]:
     if isinstance(spec, dict):
         return None, GridSpec(**_section("lambda", spec))
-    lam = None if spec is None else float(spec)
+    lam = _typed("lambda", spec, float)
     _require(lam is None or 0.0 < lam < math.inf, f"lambda must be positive and finite, got {lam}")
     return lam, None
 
@@ -278,7 +282,7 @@ def parse_run_config(cfg: dict) -> RunConfig:
         traffic=_parse_traffic(_section("traffic", cfg.get("traffic")), lam or 1.0),
         form=PKForm(form),
         k_values=_parse_k_values(cfg.get("k")),
-        k_max=None if cfg.get("k_max") is None else int(cfg["k_max"]),
+        k_max=_typed("k_max", cfg.get("k_max"), int),
         lam=lam,
         grid=grid,
         sim=sim,
@@ -560,10 +564,9 @@ def _run_optimal_k(rc: RunConfig) -> int:
 
 def _sim_config(rc: RunConfig) -> SimConfig:
     _require(rc.lam is not None, "simulation needs --lambda or --sources")
-    settings = {key: rc.sim[key] for key in ("seed", "num_frames", "warmup_frames", "k")}
-    sources = None if rc.sim["sources"] is None else tuple(rc.sim["sources"])
-    mode = SimMode(rc.sim["mode"])
-    return SimConfig(mode=mode, phy=rc.phy, traffic=rc.traffic, sources=sources, **settings)
+    sim = {key: rc.sim[key] for key in ("seed", "num_frames", "warmup_frames", "k")}
+    sim.update(mode=SimMode(rc.sim["mode"]), sources=rc.sim["sources"] and tuple(rc.sim["sources"]))
+    return SimConfig(phy=rc.phy, traffic=rc.traffic, **sim)
 
 
 def _run_simulate(rc: RunConfig) -> int:
@@ -612,7 +615,6 @@ def _run_validate(rc: RunConfig) -> int:
     return EXIT_OK
 
 
-# Subcommand -> (help, handler).
 COMMANDS = {
     "profiles": ("list built-in standard/rate presets", _run_profiles),
     "gain": ("evaluate one G(k, lambda) point", _run_gain),

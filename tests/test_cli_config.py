@@ -129,6 +129,14 @@ def test_payload_keys_of_another_family_are_rejected(capsys):
     assert "traffic.uniform_lo_bits" in err and "deterministic" in err
 
 
+@pytest.mark.parametrize("cfg", [{"lambda": [1]}, {"k_max": [1]}, {"k": [[2]]}])
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, cfg):
+    code, out, err = run(capsys, "optimal-k", "--config", config_file(tmp_path, cfg))
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("error: bad value for ")
+
+
 def test_unknown_grid_key_is_rejected():
     with pytest.raises(ConfigError, match="lambda.step"):
         parse_run_config({"lambda": {"min": 1, "max": 2, "points": 3, "step": 1}})
