@@ -236,7 +236,7 @@ def _dump_traffic(traffic: TrafficSpec) -> dict:
 
 def _parse_k_values(spec) -> tuple[int, ...]:
     if isinstance(spec, str) and ".." in spec:
-        lo, hi = (int(part) for part in spec.split("..", 1))
+        lo, hi = (_typed("k", part, int) for part in spec.split("..", 1))
         _require(lo <= hi, f"bad k range {spec!r}")
         return tuple(range(lo, hi + 1))
     if isinstance(spec, (str, int)) and not isinstance(spec, bool):
