@@ -14,13 +14,21 @@ aggregating k frames reduces mean delay.
 Unstable queues (utilization >= 1) yield ``math.inf`` rather than raising:
 sweep grids stay total. ``gain`` returns NaN (``BOTH_UNSTABLE``) when
 neither the aggregated nor the unaggregated system is stable.
+
+All of the arithmetic lives in one numpy kernel, ``_chain``, over
+broadcast (k, lam) arrays; PHY overhead and backoff moments are built once
+per call. The scalar functions here and the grids, optimal k and the
+break-even check of ``aggdelay.solver`` are thin wrappers around it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .phy import PhyProfile, backoff_moments, overhead_gamma
 
@@ -52,6 +60,7 @@ class PKForm(Enum):
     DETERMINISTIC_SERVICE = "deterministic-service"
 
 
+_DEFAULT_FORM = PKForm.DETERMINISTIC_SERVICE
 _MOMENT_RTOL = 1e-9
 
 
@@ -78,10 +87,15 @@ class TrafficSpec:
             raise ValueError(
                 f"lambda_total must be positive and finite, got {self.lambda_total!r}"
             )
-        if self.payload_mean <= 0.0:
-            raise ValueError("payload_mean must be positive")
-        if self.payload_variance < 0.0:
-            raise ValueError("payload_variance must be non-negative")
+        for name, value in (("uniform_lo", self.uniform_lo), ("uniform_hi", self.uniform_hi)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if self.empirical_values and not all(map(math.isfinite, self.empirical_values)):
+            raise ValueError(f"empirical_values must be finite, got {self.empirical_values!r}")
+        if not 0.0 < self.payload_mean < math.inf:
+            raise ValueError(f"payload_mean must be positive and finite, got {self.payload_mean!r}")
+        if not 0.0 <= self.payload_variance < math.inf:
+            raise ValueError("payload_variance must be non-negative and finite")
         fam = self.payload_family
         if fam is PayloadFamily.DETERMINISTIC:
             if self.payload_variance != 0.0:
@@ -180,6 +194,52 @@ def _check_lambda(lam: float) -> None:
         raise ValueError(f"lambda must be positive and finite, got {lam!r}")
 
 
+# The constants of the chain for one (profile, traffic) pair.
+_Moments = namedtuple(
+    "_Moments", "gamma backoff_mean backoff_var payload_mean payload_variance bit_rate bit_rate_sq"
+)
+
+
+def _moments(phy: PhyProfile, traffic: TrafficSpec) -> _Moments:
+    backoff_mean, backoff_var = backoff_moments(phy)
+    return _Moments(overhead_gamma(phy).gamma_total, backoff_mean, backoff_var,
+                    traffic.payload_mean, traffic.payload_variance, phy.bit_rate, phy.bit_rate**2)
+
+
+def _service(k, m: _Moments):
+    """Mean and variance of a k-frame batch's service time (see service_time)."""
+    mean = k * m.payload_mean / m.bit_rate + m.gamma + m.backoff_mean
+    return mean, m.backoff_var + k * m.payload_variance / m.bit_rate_sq
+
+
+def _chain(k, lam, m: _Moments, form: PKForm) -> tuple:
+    """The chain over numpy float ``k`` and ``lam``, which broadcast.
+
+    Returns the QueueMetrics fields after ``k``, in their order; the two
+    service moments keep the shape of ``k``. Each operation runs in the
+    order the scalar formulas below give, and numpy rounds each one as
+    Python does, so a grid point equals the point evaluated alone, bit for bit.
+    """
+
+    def system(k):
+        mean, var = _service(k, m)
+        lam_a = lam / k
+        rho = lam_a * mean
+        idle = np.maximum(1.0 - rho, 0.0)  # 0 when rho >= 1, which makes W +inf
+        if form is PKForm.DETERMINISTIC_SERVICE:
+            wait = lam_a * mean * mean / (2.0 * idle)
+        else:
+            wait = (lam_a * lam_a * var + rho * rho) / (2.0 * lam_a * idle)
+        erlang = (k - 1) / (2.0 * lam)
+        return erlang, mean, var, lam_a, rho, wait, erlang + mean + wait
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        erlang, mean, var, lam_a, rho, wait, total = system(k)
+        # inf - finite, finite - inf and inf - inf give gain()'s +inf, -inf and NaN.
+        g = np.where(k == 1, 0.0, total - system(1.0)[-1])
+    return erlang, mean, var, lam_a, rho, wait, total, g, rho < 1.0
+
+
 def erlang_wait(k: int, lam: float) -> float:
     """Mean buffer wait while a batch of k fills: (k-1)/(2*lam).
 
@@ -193,10 +253,7 @@ def erlang_wait(k: int, lam: float) -> float:
 
 
 def service_time(
-    k: int,
-    phy: PhyProfile,
-    traffic: TrafficSpec,
-    backoff_mean: float | None = None,
+    k: int, phy: PhyProfile, traffic: TrafficSpec, backoff_mean: float | None = None
 ) -> float:
     """Mean service time of a k-frame aggregate:
 
@@ -206,10 +263,10 @@ def service_time(
     backoff mean; pass a value to probe a different deferral time.
     """
     _check_k(k)
-    if backoff_mean is None:
-        backoff_mean = backoff_moments(phy)[0]
-    payload_time = k * traffic.payload_mean / phy.bit_rate
-    return payload_time + overhead_gamma(phy).gamma_total + backoff_mean
+    m = _moments(phy, traffic)
+    if backoff_mean is not None:
+        m = m._replace(backoff_mean=backoff_mean)
+    return _service(k, m)[0]
 
 
 def service_variance(k: int, phy: PhyProfile, traffic: TrafficSpec) -> float:
@@ -219,16 +276,11 @@ def service_variance(k: int, phy: PhyProfile, traffic: TrafficSpec) -> float:
     independent payloads: Var[Y] + k*Var[P]/bit_rate^2.
     """
     _check_k(k)
-    _, backoff_var = backoff_moments(phy)
-    return backoff_var + k * traffic.payload_variance / phy.bit_rate**2
+    return _service(k, _moments(phy, traffic))[1]
 
 
 def queue_wait(
-    k: int,
-    lam: float,
-    phy: PhyProfile,
-    traffic: TrafficSpec,
-    form: PKForm = PKForm.DETERMINISTIC_SERVICE,
+    k: int, lam: float, phy: PhyProfile, traffic: TrafficSpec, form: PKForm = _DEFAULT_FORM
 ) -> float:
     """Mean M/G/1 queue wait of a batch at input rate lam/k.
 
@@ -238,39 +290,18 @@ def queue_wait(
     with lam_a = lam/k, rho = lam_a/mu and s^2 the service variance.
     Returns UNBOUNDED when rho >= 1.
     """
-    _check_k(k)
-    _check_lambda(lam)
-    mean = service_time(k, phy, traffic)
-    lam_a = lam / k
-    rho = lam_a * mean
-    if rho >= 1.0:
-        return UNBOUNDED
-    if form is PKForm.DETERMINISTIC_SERVICE:
-        return lam_a * mean * mean / (2.0 * (1.0 - rho))
-    var = service_variance(k, phy, traffic)
-    return (lam_a * lam_a * var + rho * rho) / (2.0 * lam_a * (1.0 - rho))
+    return evaluate(k, lam, phy, traffic, form).queue_wait
 
 
 def system_time(
-    k: int,
-    lam: float,
-    phy: PhyProfile,
-    traffic: TrafficSpec,
-    form: PKForm = PKForm.DETERMINISTIC_SERVICE,
+    k: int, lam: float, phy: PhyProfile, traffic: TrafficSpec, form: PKForm = _DEFAULT_FORM
 ) -> float:
-    """Mean total time of a frame: F(k) = Er(k) + 1/mu(k) + W(k)."""
-    wait = queue_wait(k, lam, phy, traffic, form)
-    if math.isinf(wait):
-        return UNBOUNDED
-    return erlang_wait(k, lam) + service_time(k, phy, traffic) + wait
+    """Mean total time of a frame: F(k) = (Er(k) + 1/mu(k)) + W(k)."""
+    return evaluate(k, lam, phy, traffic, form).system_time
 
 
 def gain(
-    k: int,
-    lam: float,
-    phy: PhyProfile,
-    traffic: TrafficSpec,
-    form: PKForm = PKForm.DETERMINISTIC_SERVICE,
+    k: int, lam: float, phy: PhyProfile, traffic: TrafficSpec, form: PKForm = _DEFAULT_FORM
 ) -> float:
     """Delay gain of aggregating k frames: G(k) = F(k) - F(1).
 
@@ -280,48 +311,14 @@ def gain(
     +UNBOUNDED when only the aggregated system is unstable;
     BOTH_UNSTABLE (NaN) when neither is stable.
     """
-    _check_k(k)
-    _check_lambda(lam)
-    if k == 1:
-        return 0.0
-    f_k = system_time(k, lam, phy, traffic, form)
-    f_1 = system_time(1, lam, phy, traffic, form)
-    k_unstable = math.isinf(f_k)
-    one_unstable = math.isinf(f_1)
-    if k_unstable and one_unstable:
-        return BOTH_UNSTABLE
-    if one_unstable:
-        return -UNBOUNDED
-    if k_unstable:
-        return UNBOUNDED
-    return f_k - f_1
+    return evaluate(k, lam, phy, traffic, form).gain
 
 
 def evaluate(
-    k: int,
-    lam: float,
-    phy: PhyProfile,
-    traffic: TrafficSpec,
-    form: PKForm = PKForm.DETERMINISTIC_SERVICE,
+    k: int, lam: float, phy: PhyProfile, traffic: TrafficSpec, form: PKForm = _DEFAULT_FORM
 ) -> QueueMetrics:
     """Evaluate the whole chain for one (k, lam) point."""
     _check_k(k)
     _check_lambda(lam)
-    mean = service_time(k, phy, traffic)
-    lam_a = lam / k
-    rho = lam_a * mean
-    wait = queue_wait(k, lam, phy, traffic, form)
-    stable = rho < 1.0
-    total = UNBOUNDED if not stable else erlang_wait(k, lam) + mean + wait
-    return QueueMetrics(
-        k=k,
-        erlang_wait=erlang_wait(k, lam),
-        service_mean=mean,
-        service_variance=service_variance(k, phy, traffic),
-        lambda_a=lam_a,
-        rho=rho,
-        queue_wait=wait,
-        system_time=total,
-        gain=gain(k, lam, phy, traffic, form),
-        stable=stable,
-    )
+    values = _chain(np.float64(k), np.float64(lam), _moments(phy, traffic), form)
+    return QueueMetrics(k, *(value.item() for value in values))

@@ -8,6 +8,7 @@ uniform draw on {0, ..., cw} scaled by the slot time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,7 +36,7 @@ class PhyProfile:
     values throughout. Custom profiles may zero out individual overhead
     fields or set ``cw=0`` to build degenerate configurations (useful for
     isolating one randomness source); only the rates and the slot time
-    must stay positive.
+    must stay positive. Every duration and rate must be finite.
     """
 
     standard_id: Standard
@@ -57,22 +58,19 @@ class PhyProfile:
     caption_only_overhead: bool = False
 
     def __post_init__(self) -> None:
-        if self.bit_rate <= 0.0:
-            raise ValueError("bit_rate must be positive")
-        if self.ack_rate <= 0.0:
-            raise ValueError("ack_rate must be positive")
-        if self.slot <= 0.0:
-            raise ValueError("slot must be positive")
+        for name in ("bit_rate", "ack_rate", "slot"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
         for name in ("difs", "sifs", "preamble"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
         if not isinstance(self.cw, int) or self.cw < 0:
             raise ValueError("cw must be a non-negative integer")
         for name in ("mac_header_bits", "crc_bits", "ack_bits"):
             if not isinstance(getattr(self, name), int) or getattr(self, name) < 0:
                 raise ValueError(f"{name} must be a non-negative integer")
-        if self.backoff_override is not None and self.backoff_override < 0.0:
-            raise ValueError("backoff_override must be non-negative")
+        if self.backoff_override is not None and not 0.0 <= self.backoff_override < math.inf:
+            raise ValueError("backoff_override must be non-negative and finite")
 
     @property
     def t_mac(self) -> float:

@@ -1,9 +1,10 @@
 """Search routines on top of the analytic model.
 
 ``lambda_threshold`` finds the traffic rate where the aggregation gain
-G(k) first turns non-positive (the break-even point), ``optimal_k`` picks
-the batch size minimizing mean system time at a fixed rate, and
-``gain_grid`` evaluates a (k, lambda) grid for serialization.
+G(k) first turns non-positive (the break-even point), a cubic root in
+closed form; ``optimal_k`` picks the batch size minimizing mean system
+time at a fixed rate, and ``gain_grid`` evaluates a (k, lambda) grid for
+serialization. All three run the model's one numpy kernel.
 """
 
 from __future__ import annotations
@@ -11,17 +12,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import PKForm, QueueMetrics, TrafficSpec, evaluate, gain, service_time
+import numpy as np
+
+# evaluate and gain stay importable from this module, where profilers wrap them.
+from .model import PKForm, QueueMetrics, TrafficSpec, evaluate, gain, service_time  # noqa: F401
+from .model import _DEFAULT_FORM, _chain, _check_k, _check_lambda, _moments, _service
 from .phy import PhyProfile
 
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Bracketing search configuration for :func:`lambda_threshold`.
+    """Search range and tolerance of :func:`lambda_threshold`.
 
     ``lambda_max=None`` defaults to 0.999 times the k=1 stability limit
     mu(1): past that point G is -inf by convention, so any sign change
-    has already happened. Tolerance is relative on lambda.
+    has already happened. ``rel_tol`` is the relative width of the
+    verified bracket. ``max_iter`` and ``scan_points`` are checked but
+    ignored: they configured the iterative search the closed form
+    replaced, and existing configs still carry them.
     """
 
     lambda_min: float = 1.0
@@ -37,8 +45,8 @@ class SearchParams:
             self.lambda_min < self.lambda_max < math.inf
         ):
             raise ValueError("lambda_max must be finite and exceed lambda_min")
-        if self.rel_tol <= 0.0:
-            raise ValueError("rel_tol must be positive")
+        if not 0.0 < self.rel_tol < 1.0:
+            raise ValueError(f"rel_tol must be finite and in (0, 1), got {self.rel_tol!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.scan_points < 2:
@@ -52,6 +60,7 @@ class ThresholdResult:
     When ``converged`` and ``note`` is empty, the bracket satisfies
     G(lambda_low) > 0 >= G(lambda_high) and its width is within the
     relative tolerance. ``lambda_star`` is NaN when not converged.
+    ``iterations`` counts the Newton steps that polished the cubic root.
     """
 
     k: int
@@ -76,112 +85,103 @@ class SweepRow:
     gain: float
     stable: bool
 
-    @classmethod
-    def from_metrics(cls, lam: float, m: QueueMetrics) -> "SweepRow":
-        return cls(
-            k=m.k,
-            lam=lam,
-            erlang_wait=m.erlang_wait,
-            service_mean=m.service_mean,
-            rho=m.rho,
-            queue_wait=m.queue_wait,
-            system_time=m.system_time,
-            gain=m.gain,
-            stable=m.stable,
-        )
-
 
 def k1_stability_limit(phy: PhyProfile, traffic: TrafficSpec) -> float:
     """Largest arrival rate with a stable unaggregated queue: mu(1)."""
     return 1.0 / service_time(1, phy, traffic)
 
 
+def _break_even_cubic(k: int, s_k: float, q_k: float, s_1: float, q_1: float) -> tuple:
+    """Coefficients c0..c3 of P(lam) = 2 lam (k - lam s_k)(1 - lam s_1) G(k, lam).
+
+    With q_j the second moment term of W_j = lam q_j / (2 (j - lam s_j))
+    (s_j^2, plus the service variance in the general form) and
+    A = (k - lam s_k)(1 - lam s_1) = k + a1 lam + a2 lam^2:
+
+        P = (k-1) A + 2 (s_k - s_1) lam A + lam^2 (q_k (1 - lam s_1) - q_1 (k - lam s_k))
+
+    P has the sign of G wherever both queues are stable, and c0 = k(k-1) > 0.
+    """
+    a1, a2, d = -(k * s_1 + s_k), s_k * s_1, 2.0 * (s_k - s_1)
+    c2 = (k - 1) * a2 + d * a1 + q_k - k * q_1
+    return (k - 1) * k, (k - 1) * a1 + d * k, c2, d * a2 + q_1 * s_k - q_k * s_1
+
+
+def _positive_roots(c0: float, c1: float, c2: float, c3: float) -> list[float]:
+    """Positive real roots of c0 + c1 x + c2 x^2 + c3 x^3 for c0 != 0.
+
+    In y = 1/x the cubic is y^3 + a y^2 + b y + c with a = c1/c0, b = c2/c0,
+    c = c3/c0, which stays a cubic however small c3 is. Its real roots
+    come from the trigonometric or Cardano form (Numerical Recipes 5.6).
+    """
+    a, b, c = c1 / c0, c2 / c0, c3 / c0
+    q = (a * a - 3.0 * b) / 9.0
+    r = (2.0 * a * a * a - 9.0 * a * b + 27.0 * c) / 54.0
+    if r * r < q * q * q:
+        theta = math.acos(max(-1.0, min(1.0, r / math.sqrt(q * q * q))))  # |.| <= 1 up to rounding
+        ys = [-2.0 * math.sqrt(q) * math.cos((theta + 2.0 * math.pi * j) / 3.0) - a / 3.0
+              for j in (0, 1, 2)]
+    else:
+        u = -math.copysign((abs(r) + math.sqrt(r * r - q * q * q)) ** (1.0 / 3.0), r)
+        ys = [u + (q / u if u else 0.0) - a / 3.0]
+    return [1.0 / y for y in ys if y > 0.0]
+
+
+def _polish(coeffs: tuple, x: float) -> tuple[float, int]:
+    """At most 8 Newton steps on the cubic from x, until one is within 4 ulp."""
+    c0, c1, c2, c3 = coeffs
+    for steps in range(1, 9):
+        slope = (3.0 * c3 * x + 2.0 * c2) * x + c1
+        step = (((c3 * x + c2) * x + c1) * x + c0) / slope if slope else 0.0
+        x -= step
+        if abs(step) <= 4.0 * math.ulp(x):
+            break
+    return x, steps
+
+
 def lambda_threshold(
-    k: int,
-    phy: PhyProfile,
-    traffic: TrafficSpec,
-    form: PKForm = PKForm.DETERMINISTIC_SERVICE,
+    k: int, phy: PhyProfile, traffic: TrafficSpec, form: PKForm = _DEFAULT_FORM,
     search: SearchParams = SearchParams(),
 ) -> ThresholdResult:
     """Smallest rate where G(k, .) changes from positive to non-positive.
 
-    A coarse geometric scan over [lambda_min, lambda_max] locates the
-    first bracketing pair, then bisection narrows it to the relative
-    tolerance. If G is already non-positive at lambda_min the result is
-    converged at lambda_min with an explanatory note; if no sign change
-    exists in range, ``converged`` is False.
+    lambda* is the smallest root of ``_break_even_cubic`` in (lambda_min,
+    min(lambda_max, k/s_k, 1/s_1)) in closed form, polished by Newton steps;
+    one kernel call checks G(low) > 0 >= G(high) on lambda* (1 -/+ rel_tol/4).
+    If G is already non-positive at lambda_min the result is converged at
+    lambda_min with a note; if no root lies in range, or G does not change
+    sign across it, ``converged`` is False.
     """
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"threshold search needs an integer k >= 2, got {k!r}")
-    lam_max = search.lambda_max
+    m = _moments(phy, traffic)
+    (s_k, v_k), (s_1, v_1) = _service(k, m), _service(1, m)
+    lam_min, lam_max = search.lambda_min, search.lambda_max
     if lam_max is None:
-        lam_max = 0.999 * k1_stability_limit(phy, traffic)
-    if lam_max <= search.lambda_min:
-        raise ValueError(
-            f"empty search range: lambda_max {lam_max:g} <= lambda_min "
-            f"{search.lambda_min:g}"
-        )
-
-    def g(lam: float) -> float:
-        return gain(k, lam, phy, traffic, form)
-
-    lam_min = search.lambda_min
-    if g(lam_min) <= 0.0:
-        return ThresholdResult(
-            k=k,
-            lambda_star=lam_min,
-            bracket=(lam_min, lam_min),
-            iterations=0,
-            converged=True,
-            note="gain already non-positive at lambda_min",
-        )
-
-    # Geometric scan for the first positive -> non-positive pair.
-    n = search.scan_points
-    ratio = (lam_max / lam_min) ** (1.0 / (n - 1))
-    low = lam_min
-    high = None
-    for i in range(1, n):
-        candidate = lam_max if i == n - 1 else lam_min * ratio**i
-        if g(candidate) <= 0.0:
-            high = candidate
-            break
-        low = candidate
-    if high is None:
-        return ThresholdResult(
-            k=k,
-            lambda_star=math.nan,
-            bracket=(lam_min, lam_max),
-            iterations=0,
-            converged=False,
-            note="no sign change within the search range",
-        )
-
-    iterations = 0
-    while high - low > search.rel_tol * high and iterations < search.max_iter:
-        mid = 0.5 * (low + high)
-        if g(mid) > 0.0:
-            low = mid
-        else:
-            high = mid
-        iterations += 1
-    converged = high - low <= search.rel_tol * high
-    return ThresholdResult(
-        k=k,
-        lambda_star=0.5 * (low + high),
-        bracket=(low, high),
-        iterations=iterations,
-        converged=converged,
-        note="" if converged else "bisection hit max_iter",
-    )
+        lam_max = 0.999 * (1.0 / s_1)
+    if lam_max <= lam_min:
+        raise ValueError(f"empty search range: lambda_max {lam_max:g} <= lambda_min {lam_min:g}")
+    v_k, v_1 = (v_k, v_1) if form is PKForm.GENERAL_PK else (0.0, 0.0)
+    coeffs = _break_even_cubic(k, s_k, s_k * s_k + v_k, s_1, s_1 * s_1 + v_1)
+    limit = min(k / s_k, 1.0 / s_1)
+    roots = [x for x in _positive_roots(*coeffs) if lam_min < x < limit and x <= lam_max]
+    root, steps = _polish(coeffs, min(roots)) if roots else (math.nan, 0)
+    low, high = root * (1.0 - 0.25 * search.rel_tol), root * (1.0 + 0.25 * search.rel_tol)
+    *_, g, _ = _chain(np.float64(k), np.array([lam_min, low, high]), m, form)
+    g = g.tolist()
+    if g[0] <= 0.0:
+        note = "gain already non-positive at lambda_min"
+        return ThresholdResult(k, lam_min, (lam_min, lam_min), 0, True, note)
+    if not roots:
+        note = "no sign change within the search range"
+        return ThresholdResult(k, math.nan, (lam_min, lam_max), 0, False, note)
+    converged = g[1] > 0.0 >= g[2]
+    note = "" if converged else "gain does not change sign across the cubic root"
+    return ThresholdResult(k, root if converged else math.nan, (low, high), steps, converged, note)
 
 
 def optimal_k(
-    lam: float,
-    phy: PhyProfile,
-    traffic: TrafficSpec,
-    form: PKForm = PKForm.DETERMINISTIC_SERVICE,
-    k_max: int = 20,
+    lam: float, phy: PhyProfile, traffic: TrafficSpec, form: PKForm = _DEFAULT_FORM, k_max: int = 20
 ) -> tuple[int, QueueMetrics]:
     """Batch size in {1, ..., k_max} minimizing the finite mean system time.
 
@@ -190,24 +190,16 @@ def optimal_k(
     """
     if not isinstance(k_max, int) or k_max < 1:
         raise ValueError(f"k_max must be an integer >= 1, got {k_max!r}")
-    best: QueueMetrics | None = None
-    for k in range(1, k_max + 1):
-        m = evaluate(k, lam, phy, traffic, form)
-        if math.isinf(m.system_time):
-            continue
-        if best is None or m.system_time < best.system_time:
-            best = m
-    if best is None:
-        return k_max, evaluate(k_max, lam, phy, traffic, form)
-    return best.k, best
+    _check_lambda(lam)
+    values = _chain(np.arange(1.0, k_max + 1.0), np.float64(lam), _moments(phy, traffic), form)
+    total = values[6]  # system_time
+    finite = np.isfinite(total)
+    best = int(np.argmin(np.where(finite, total, np.inf))) if finite.any() else k_max - 1
+    return best + 1, QueueMetrics(best + 1, *(value[best].item() for value in values))
 
 
 def gain_grid(
-    k_set,
-    lambda_grid,
-    phy: PhyProfile,
-    traffic: TrafficSpec,
-    form: PKForm = PKForm.DETERMINISTIC_SERVICE,
+    k_set, lambda_grid, phy: PhyProfile, traffic: TrafficSpec, form: PKForm = _DEFAULT_FORM
 ) -> list[SweepRow]:
     """Evaluate every (k, lambda) pair, k outer and lambda inner.
 
@@ -218,8 +210,18 @@ def gain_grid(
     lam_values = [float(lam) for lam in lambda_grid]
     if not k_values or not lam_values:
         raise ValueError("k_set and lambda_grid must be non-empty")
-    rows = []
     for k in k_values:
-        for lam in lam_values:
-            rows.append(SweepRow.from_metrics(lam, evaluate(k, lam, phy, traffic, form)))
-    return rows
+        _check_k(k)
+    for lam in lam_values:
+        _check_lambda(lam)
+    values = _chain(
+        np.array(k_values, dtype=float)[:, None], np.array(lam_values), _moments(phy, traffic), form
+    )
+    shape = (len(k_values), len(lam_values))
+    erlang, mean, _, _, rho, wait, total, g, stable = (
+        np.broadcast_to(value, shape).ravel().tolist() for value in values
+    )
+    ks = [k for k in k_values for _ in lam_values]
+    return list(
+        map(SweepRow, ks, lam_values * len(k_values), erlang, mean, rho, wait, total, g, stable)
+    )

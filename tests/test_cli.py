@@ -424,3 +424,48 @@ def test_non_finite_rate_exits_2(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (("gain", "--k", "2", "--lambda", "100", "--payload-mean-bits", "nan"), "payload_mean"),
+        (("gain", "--k", "2", "--lambda", "100", "--payload-mean-bits", "inf"), "payload_mean"),
+        (("gain", "--k", "2", "--lambda", "100", "--payload-mean-bytes", "nan"), "payload_mean"),
+        (("gain", "--k", "2", "--lambda", "100", "--payload-uniform", "0:inf"), "uniform_hi"),
+        (("gain", "--k", "2", "--lambda", "100", "--payload-uniform", "nan:800"), "uniform_lo"),
+        (("gain", "--k", "2", "--lambda", "100", "--payload-empirical", "800,inf"),
+         "empirical_values"),
+        (("gain", "--k", "2", "--lambda", "100", "--backoff-literal-us", "nan"),
+         "backoff_override"),
+        (("gain", "--k", "2", "--lambda", "100", "--backoff-literal-us", "inf"),
+         "backoff_override"),
+        (("threshold", "--k", "2", "--payload-mean-bits", "inf"), "payload_mean"),
+        (("threshold", "--k", "2", "--rel-tol", "nan"), "rel_tol"),
+        (("threshold", "--k", "2", "--rel-tol", "inf"), "rel_tol"),
+        (("threshold", "--k", "2", "--rel-tol", "1"), "rel_tol"),
+    ],
+)
+def test_bad_model_input_names_its_field_and_exits_2(capsys, argv, field):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith(f"error: {field} must be ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["bit_rate_bps", "ack_rate_bps", "slot_us", "difs_us",
+                                 "sifs_us", "preamble_us"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_custom_phy_exits_2(tmp_path, capsys, key, bad):
+    phy = {
+        "standard": "custom", "bit_rate_bps": 2e6, "slot_us": 20.0, "difs_us": 50.0,
+        "sifs_us": 10.0, "preamble_us": 96.0, "cw": 16, "mac_header_bits": 192,
+        "crc_bits": 32, "ack_bits": 112, "ack_rate_bps": 2e6,
+    }
+    path = tmp_path / "phy.json"
+    path.write_text(json.dumps({"phy": {**phy, key: bad}}))  # the config reads "nan" as NaN
+    code, out, err = run(capsys, "gain", "--config", str(path), "--k", "2", "--lambda", "100")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    field = key.removesuffix("_us").removesuffix("_bps")
+    assert err.startswith(f"error: {field} must be ") and "finite" in err

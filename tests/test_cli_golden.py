@@ -124,8 +124,8 @@ DIGESTS = {
     "sweep-nonfinite-csv": (0, "2c4b1defd9e701a161099ed429373c725a8555eab148b9263d420a83fa45bbff"),
     "sweep-nonfinite-json": (0, "503473be4c20d177da1017ebf9433df3cc4bb1360217bb9a49d19f85fb91730c"),
     "sweep-unstable-grid-csv": (0, "fa9ea3109fded44915ee737fc5ed9fa082ac26fdb279b3234f750ff2d000bda2"),
-    "threshold-fig4-11": (0, "b6d3ede05e5f48f12c8c9e7b09ac7087111e716bf8350a15bb921a931a79a099"),
-    "threshold-fig5-54-json": (0, "26507c72584c42f74aa39cd0c3c2fb0e612db857a8dd05f8a5fb4d676c558691"),
+    "threshold-fig4-11": (0, "fb7f51595ccbcc7e6183dea0527252152b395ea94293ff4fe52716c166fc834c"),
+    "threshold-fig5-54-json": (0, "66bc0f8de92ba6e366ae05e11a55cf98a03f587cb2c4484ce9f5c763a271b444"),
     "threshold-nonconverging": (3, "9cc11bcdf15f4031651fc7fef1b347ae5ee7a9a1bc61ca4f82fb42c0c5eb8bb0"),
     "threshold-nonconverging-json": (3, "3d1e6b3cec018a1b2fe2a300ddc7631da4a60ce5aca6dae6040bc06d5db30eaf"),
     "validate-csv": (0, "ac013b53d4a585d2f29bfe84036537c3a1a851fd062e10a7eb47d6c9f550f095"),
