@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -240,6 +240,17 @@ def _chain(k, lam, m: _Moments, form: PKForm) -> tuple:
     return erlang, mean, var, lam_a, rho, wait, total, g, rho < 1.0
 
 
+def _point(k: int, lam: float, phy: PhyProfile, traffic: TrafficSpec, form: PKForm) -> tuple:
+    """The kernel's outputs for one checked (k, lam) point, as numpy scalars."""
+    _check_k(k)
+    _check_lambda(lam)
+    return _chain(np.float64(k), np.float64(lam), _moments(phy, traffic), form)
+
+
+#: Position of each QueueMetrics field after ``k`` in ``_chain``'s result.
+_FIELD = {f.name: i for i, f in enumerate(fields(QueueMetrics)[1:])}
+
+
 def erlang_wait(k: int, lam: float) -> float:
     """Mean buffer wait while a batch of k fills: (k-1)/(2*lam).
 
@@ -290,14 +301,14 @@ def queue_wait(
     with lam_a = lam/k, rho = lam_a/mu and s^2 the service variance.
     Returns UNBOUNDED when rho >= 1.
     """
-    return evaluate(k, lam, phy, traffic, form).queue_wait
+    return _point(k, lam, phy, traffic, form)[_FIELD["queue_wait"]].item()
 
 
 def system_time(
     k: int, lam: float, phy: PhyProfile, traffic: TrafficSpec, form: PKForm = _DEFAULT_FORM
 ) -> float:
     """Mean total time of a frame: F(k) = (Er(k) + 1/mu(k)) + W(k)."""
-    return evaluate(k, lam, phy, traffic, form).system_time
+    return _point(k, lam, phy, traffic, form)[_FIELD["system_time"]].item()
 
 
 def gain(
@@ -311,14 +322,11 @@ def gain(
     +UNBOUNDED when only the aggregated system is unstable;
     BOTH_UNSTABLE (NaN) when neither is stable.
     """
-    return evaluate(k, lam, phy, traffic, form).gain
+    return _point(k, lam, phy, traffic, form)[_FIELD["gain"]].item()
 
 
 def evaluate(
     k: int, lam: float, phy: PhyProfile, traffic: TrafficSpec, form: PKForm = _DEFAULT_FORM
 ) -> QueueMetrics:
     """Evaluate the whole chain for one (k, lam) point."""
-    _check_k(k)
-    _check_lambda(lam)
-    values = _chain(np.float64(k), np.float64(lam), _moments(phy, traffic), form)
-    return QueueMetrics(k, *(value.item() for value in values))
+    return QueueMetrics(k, *(value.item() for value in _point(k, lam, phy, traffic, form)))

@@ -23,8 +23,10 @@ cumsum and the closed-form Lindley scan from the previous block's
 carries, and folds its statistics into running (n, mean, M2) moments
 merged with Chan et al.'s pairwise update. Memory therefore stays flat
 whatever ``num_frames`` is. Every per-frame time is bitwise the one an
-all-at-once run computes; a run of at most one block also reduces its
-statistics exactly as ``np.mean``/``np.std`` over the whole arrays do.
+all-at-once run computes, and a queue wait is exactly 0 at the start of
+a busy period. A one-block run reduces sojourn and buffer wait exactly as
+``np.mean``/``np.std`` over the frame arrays do; the aggregated queue-wait
+and service means are frame-weighted batch means, equal up to rounding.
 """
 
 from __future__ import annotations
@@ -179,8 +181,9 @@ def _sample_payloads(
     if fam is PayloadFamily.DETERMINISTIC:
         return np.full(n, traffic.payload_mean)
     if fam is PayloadFamily.EXPONENTIAL:
-        # inverse-CDF sampling keeps the draw count at exactly n
-        return traffic.payload_mean * rng.standard_exponential(n, method="inv")
+        # ziggurat draws: payloads have their own substream, so a variable
+        # number of raw draws per value perturbs no other distribution
+        return rng.exponential(traffic.payload_mean, n)
     if fam is PayloadFamily.UNIFORM_RANGE:
         return rng.uniform(traffic.uniform_lo, traffic.uniform_hi, n)
     values = np.asarray(traffic.empirical_values, dtype=float)
@@ -193,33 +196,36 @@ def _sample_backoffs(
     """n backoff times: slot * U{0,...,cw}, or the literal override."""
     if phy.backoff_override is not None:
         return np.full(n, phy.backoff_override)
-    return phy.slot * rng.integers(0, phy.cw + 1, size=n).astype(float)
+    # int32 draws equal the int64 ones value for value, and cost half as much
+    dtype = np.int32 if phy.cw < np.iinfo(np.int32).max else np.int64
+    return phy.slot * rng.integers(0, phy.cw + 1, size=n, dtype=dtype)
 
 
-def _fifo_completions(
+def _fifo_waits(
     ready: np.ndarray, service: np.ndarray, s0: float, m0: float
 ) -> tuple[np.ndarray, float, float]:
-    """Completion times of a FIFO single server fed jobs in index order.
+    """Queue waits of a FIFO single server fed jobs in index order.
 
-    Closed form of the Lindley recursion C_i = max(ready_i, C_{i-1}) + s_i:
-    with S the service prefix sums, C_i = S_i + max_{j<=i}(ready_j - S_{j-1}).
-    A run in blocks continues both scans from the earlier jobs' service
-    sum ``s0`` (0 at the start) and running maximum ``m0`` (-inf), which
-    keeps every completion bitwise equal to the whole-run scan. Returns
-    the completions and the carries for the next block.
+    Closed form of the Lindley recursion W_i = max(W_{i-1} + s_{i-1} -
+    (ready_i - ready_{i-1}), 0): with S the service prefix sums and
+    pre_i = ready_i - S_{i-1}, the wait is peak_i - pre_i where peak_i =
+    max_{j<=i} pre_j. It is exactly 0 at the start of a busy period and
+    never negative. A run in blocks continues both scans from the earlier
+    jobs' service sum ``s0`` (0 at the start) and running maximum ``m0``
+    (-inf), which keeps every wait bitwise equal to the whole-run scan.
+    Returns the waits and the carries for the next block.
     """
-    s_cum = service.copy()
-    s_cum[0] += s0
-    np.cumsum(s_cum, out=s_cum)
-    peak = np.empty_like(s_cum)  # S_{j-1}, then ready_j - S_{j-1}, then its max
-    peak[0] = s0
-    peak[1:] = s_cum[:-1]
-    np.subtract(ready, peak, out=peak)
-    np.maximum.accumulate(peak, out=peak)
+    pre = np.empty_like(service)  # S_{i-1}, then ready_i - S_{i-1}
+    pre[0] = s0
+    pre[1:] = service[:-1]
+    np.cumsum(pre, out=pre)
+    s_sum = float(pre[-1] + service[-1])
+    np.subtract(ready, pre, out=pre)
+    peak = np.maximum.accumulate(pre)
     np.maximum(peak, m0, out=peak)
-    carries = float(s_cum[-1]), float(peak[-1])
-    s_cum += peak
-    return s_cum, *carries
+    m_peak = float(peak[-1])
+    peak -= pre
+    return peak, s_sum, m_peak
 
 
 class _Moments:
@@ -227,8 +233,9 @@ class _Moments:
 
     Blocks merge with the pairwise update of Chan, Golub and LeVeque, and
     a single block reproduces ``np.mean`` and ``np.std(ddof=1)`` bit for
-    bit. ``add(x)`` uses ``x`` as scratch space; ``add(x, spread=False)``
-    leaves it alone and tracks the mean only (M2 becomes NaN).
+    bit. ``add(x)`` uses ``x`` as scratch space. ``add_mean(x, weight, cut)``
+    leaves it alone and tracks the mean only (M2 becomes NaN), counting
+    each value ``weight`` times, except the first ``weight - cut`` times.
     """
 
     __slots__ = ("n", "mean", "m2")
@@ -238,17 +245,21 @@ class _Moments:
         self.mean = math.nan
         self.m2 = math.nan
 
-    def add(self, x: np.ndarray, spread: bool = True) -> None:
+    def add(self, x: np.ndarray) -> None:
         n = x.size
         if n == 0:
             return
         mean = float(np.sum(x) / n)
-        if spread:
-            x -= mean
-            x *= x
-            self.merge(n, mean, float(np.sum(x)))
-        else:
-            self.merge(n, mean, math.nan)
+        x -= mean
+        x *= x
+        self.merge(n, mean, float(np.sum(x)))
+
+    def add_mean(self, x: np.ndarray, weight: int = 1, cut: int = 0) -> None:
+        if cut:
+            self.merge(weight - cut, float(x[0]), math.nan)
+            x = x[1:]
+        if x.size:
+            self.merge(x.size * weight, float(np.sum(x) / x.size), math.nan)
 
     def merge(self, n: int, mean: float, m2: float) -> None:
         if n == 0:
@@ -289,7 +300,8 @@ def simulate(config: SimConfig) -> SimResult:
     The run is walked in blocks of whole batches. Only the last arrival
     and batch-formation times, the Lindley scan's service sum and running
     maximum, and the running moments cross a block boundary, so memory
-    does not grow with ``num_frames``.
+    does not grow with ``num_frames``. Queue-wait and service means are
+    taken over batches, each weighted by its measured frames.
     """
     aggregated = config.mode is SimMode.AGGREGATED
     k = config.k
@@ -326,6 +338,7 @@ def simulate(config: SimConfig) -> SimResult:
         completed += done
         if aggregated:
             ready = arrivals[k - 1 : done : k]  # k-th arrival forms the batch
+            frame_scratch = payloads  # reused for buffer waits and sojourns
             payloads = payloads[:done].reshape(n_batches, k).sum(axis=1)
         else:
             ready = arrivals
@@ -336,33 +349,28 @@ def simulate(config: SimConfig) -> SimResult:
         batch_service += payloads
         del payloads
 
-        completion, s_sum, s_peak = _fifo_completions(
-            ready, batch_service, s_sum, s_peak
-        )
-        batch_queue_wait = completion - batch_service
-        batch_queue_wait -= ready
-        np.maximum(batch_queue_wait, 0.0, out=batch_queue_wait)
         gaps.add(np.diff(ready, prepend=last_mark) if first else np.diff(ready))
         last_mark = float(ready[-1])
+        batch_wait, s_sum, s_peak = _fifo_waits(ready, batch_service, s_sum, s_peak)
 
         lo = min(max(warmup - first, 0), done)
         if lo == done:
             continue  # the whole block is warmup
-        frame_arrivals = arrivals[lo:done]
+        b0, cut = divmod(lo, k)  # a warmup cut inside batch b0 leaves k - cut frames
+        queue_wait.add_mean(batch_wait[b0:], k, cut)
+        service.add_mean(batch_service[b0:], k, cut)
         if aggregated:
-            queue_wait.add(np.repeat(batch_queue_wait, k)[lo:], spread=False)
-            service.add(np.repeat(batch_service, k)[lo:], spread=False)
-            completion = np.repeat(completion, k)
-            wait = np.repeat(ready, k)[lo:]
-            wait -= frame_arrivals
-            buffer_wait.add(wait)
+            frames = arrivals[b0 * k : done].reshape(-1, k)
+            times = frame_scratch[b0 * k : done]  # buffer waits, then sojourns
+            np.subtract(ready[b0:, None], frames, out=times.reshape(frames.shape))
+            buffer_wait.add(times[cut:])
+            ends = ready[b0:] + batch_wait[b0:]
+            ends += batch_service[b0:]
+            np.subtract(ends[:, None], frames, out=times.reshape(frames.shape))
+            sojourn.add(times[cut:])
         else:
-            queue_wait.add(batch_queue_wait[lo:], spread=False)
-            service.add(batch_service[lo:], spread=False)
-        del batch_queue_wait, batch_service
-        sojourn_times = completion[lo:]  # completions become sojourns in place
-        sojourn_times -= frame_arrivals
-        sojourn.add(sojourn_times)
+            batch_wait += batch_service  # waits become sojourns in place
+            sojourn.add(batch_wait[lo:])
 
     warmup_excluded = min(warmup, completed)
     if not aggregated:
@@ -436,42 +444,25 @@ def validate_against_model(
     k_eff = config.k if config.mode is SimMode.AGGREGATED else 1
     lam = config.arrival_rate
     metrics = evaluate(k_eff, lam, config.phy, config.traffic, form)
-    if not metrics.stable:
-        return ValidationReport(
-            mode=config.mode,
-            k=k_eff,
-            lam=lam,
-            form=form,
-            analytic_stable=False,
-            analytic_system_time=metrics.system_time,
-            sim=None,
-            abs_deviation=math.nan,
-            rel_deviation=math.nan,
-            within_ci95=None,
-            interbatch_cv=math.nan,
-        )
-
-    result = simulate(config)
-    abs_dev = abs(result.sojourn_mean - metrics.system_time)
-    rel_dev = abs_dev / metrics.system_time
-    within = (
-        None
-        if math.isnan(result.ci95_halfwidth)
-        else bool(abs_dev <= result.ci95_halfwidth)
-    )
-
+    result, abs_dev, rel_dev, within = None, math.nan, math.nan, None
+    if metrics.stable:
+        result = simulate(config)
+        abs_dev = abs(result.sojourn_mean - metrics.system_time)
+        rel_dev = abs_dev / metrics.system_time
+        if not math.isnan(result.ci95_halfwidth):
+            within = bool(abs_dev <= result.ci95_halfwidth)
     return ValidationReport(
         mode=config.mode,
         k=k_eff,
         lam=lam,
         form=form,
-        analytic_stable=True,
+        analytic_stable=metrics.stable,
         analytic_system_time=metrics.system_time,
         sim=result,
         abs_deviation=abs_dev,
         rel_deviation=rel_dev,
         within_ci95=within,
-        interbatch_cv=result.interbatch_cv,
+        interbatch_cv=math.nan if result is None else result.interbatch_cv,
     )
 
 

@@ -67,6 +67,13 @@ CASES = {
         "simulate", "--sources", "60,40", "--payload-family", "exponential",
         "--payload-mean-bits", "800", "--seed", "1", "--frames", "5000", "--warmup", "0",
     ),
+    "simulate-uniform-csv": (
+        "simulate", "--mode", "aggregated", "--k", "3", "--lambda", "800",
+        "--payload-uniform", "400:1200", *SIM, "--format", "csv",
+    ),
+    "simulate-empirical-json": (
+        "simulate", "--lambda", "600", "--payload-empirical", "400,800,1500", *SIM,
+    ),
     "validate-json": ("validate", *AGG, "--form", "general-pk"),
     "validate-csv": ("validate", *AGG, "--format", "csv"),
     "validate-unstable-json": ("validate", "--mode", "standard", "--lambda", "3000", *SIM),
@@ -113,11 +120,13 @@ DIGESTS = {
     "optimal-k-json": (0, "bfd27a2717f22f0dcdf18295d2c493c69bb66b98222f83344dd1372e8df7fe92"),
     "profiles-csv": (0, "f415bf8f7c6e0f19b29ec7078dd25580687cdf1ce62cca77024a8613aab9012e"),
     "profiles-json": (0, "bb59fbc87247ff7ac2da442fd6147e0a2ce38810f67b2148f50d29f83f073940"),
-    "simulate-csv": (0, "7bd3d2d40286439cee333f1ef931f3f23f207f40a2ffa581d34ff01bcc650650"),
-    "simulate-json": (0, "715008b01057ae605fbf6581116023fc840a4452849782bab36b8cb6d8108c85"),
-    "simulate-reps-csv": (0, "24debc808b4cd0e77b0775fb8aa3051fa844bb26790b801830eff203e12cc98e"),
-    "simulate-reps-json": (0, "52129202747919f28dc5c1298198c69d621ba72e36ebdc098abcad9d2ff50e8d"),
-    "simulate-sources-exp": (0, "3aa9262a29b4bef1b5f608f0eb0ae15ebb6ba77f074b607a6a06c15e07cf357f"),
+    "simulate-csv": (0, "98051ba006d796f299a79df707f434f29806879210aefbc6e8e3f96a2b99c777"),
+    "simulate-empirical-json": (0, "29da2985fb3a3675449f5a28a481335494d0096b6bda67d0c3b179b1f86e5c3f"),
+    "simulate-json": (0, "febe08b888fc28a7e35760efa298119a69277fe008fac4caed78c09236ef306c"),
+    "simulate-reps-csv": (0, "a5fe306af71b580e5b51136acc5191233b88a6c7fadb4312c554d3ca0a1558d9"),
+    "simulate-reps-json": (0, "23c5b87cbbf3e3e8006ade3c5385e38dcb686f152df254360a7e603f5c421be8"),
+    "simulate-sources-exp": (0, "319cc0770b8c845560a52ce5805273f3194074561d6f5a3256d2e0405e5c7eab"),
+    "simulate-uniform-csv": (0, "b05829c9b0b0716a87e80c22744ce1739abffe1afd8037a1f10c6f0fdda84dfc"),
     "sweep-fig3-csv": (0, "437a8faf4f1784e7c56fc3e7c8ed148d5f7128a16534b63826990a5312ee2424"),
     "sweep-fig3-json": (0, "191e55c0f77aa587c295c93f6e996f06e5d76870f23e649071b907d988a1fcce"),
     "sweep-geometric-json": (0, "0334674c604ceeac20c05dbc5a334c61d405ec3716344eb378fda5273360a1b1"),
@@ -128,8 +137,8 @@ DIGESTS = {
     "threshold-fig5-54-json": (0, "66bc0f8de92ba6e366ae05e11a55cf98a03f587cb2c4484ce9f5c763a271b444"),
     "threshold-nonconverging": (3, "9cc11bcdf15f4031651fc7fef1b347ae5ee7a9a1bc61ca4f82fb42c0c5eb8bb0"),
     "threshold-nonconverging-json": (3, "3d1e6b3cec018a1b2fe2a300ddc7631da4a60ce5aca6dae6040bc06d5db30eaf"),
-    "validate-csv": (0, "ac013b53d4a585d2f29bfe84036537c3a1a851fd062e10a7eb47d6c9f550f095"),
-    "validate-json": (0, "e3ca80b8cf4e0b7e99f37a05df0b298ea469b22a76f0402bcf594531ef2138fd"),
+    "validate-csv": (0, "38f0c4f6bd7781db0f9c54d07d480c2514ba36f90c4c76cefe8ce28302839218"),
+    "validate-json": (0, "32b2930177bf5a337871c0ddedb4e719bbcb588965e230fad9372483687dc584"),
     "validate-unstable-csv": (0, "e10200fa0c5a080e253a7523f32b05976b648c19a7d8de84fa2e149bebfc1b9d"),
     "validate-unstable-json": (0, "d7d89c900e0e8cff9ad89f3a9d8aad59a066fa70566ccd20b056d91f0bd70348"),
     "dump-config-custom": (0, "ba9d5d7f0cb32d8f23e5016b01ef4f9c21c782c901047b8e47a06d2fbb155573"),

@@ -323,6 +323,15 @@ def test_backoff_override_gives_constant_service(det800):
     assert r.service_mean == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("cw", [16, 2**31 - 2, 2**31])
+def test_backoff_draws_equal_64_bit_integer_draws(cw):
+    # 32-bit draws where the window fits, 64-bit beyond it: same values
+    phy = custom_profile(cw=cw)
+    expected = phy.slot * sim_module._substream(4, "backoffs").integers(0, cw + 1, 5_000)
+    got = sim_module._sample_backoffs(sim_module._substream(4, "backoffs"), phy, 5_000)
+    assert np.array_equal(got, expected)
+
+
 def test_uniform_and_empirical_payload_sampling(phy_b11):
     uni = TrafficSpec.uniform_range(100.0, 400.0, 1200.0)
     emp = TrafficSpec.empirical(100.0, [640.0, 800.0, 960.0])
@@ -520,3 +529,85 @@ def test_non_finite_source_rates_rejected(phy_b11, det800):
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             SimConfig(**{**good, "sources": (100.0, bad)})
+
+
+# --- the exact queue wait and the batch means -------------------------------
+
+
+def _replay(config):
+    """The run's substreams drawn at once: frame inter-arrival times and the
+    service time of every completed batch (exponential payloads only)."""
+    k, n = config.k, config.num_frames
+    n_batches = n // k
+    gaps = sim_module._substream(config.seed, "arrivals").exponential(
+        1.0 / config.arrival_rate, n
+    )
+    payloads = sim_module._substream(config.seed, "payloads").exponential(
+        config.traffic.payload_mean, n
+    )
+    backoffs = sim_module._substream(config.seed, "backoffs").integers(
+        0, config.phy.cw + 1, n_batches
+    )
+    service = config.phy.slot * backoffs + overhead_gamma(config.phy).gamma_total
+    payload_sums = payloads[: n_batches * k].reshape(n_batches, k).sum(axis=1)
+    service += payload_sums / config.phy.bit_rate
+    return gaps, service
+
+
+def _lindley_waits(gaps, service, k):
+    """W_{b+1} = max(W_b + s_b - g_{b+1}, 0), one batch at a time, with g the
+    time between batch formations: the sum of the batch's own k gaps."""
+    formation_gaps = gaps[: service.size * k].reshape(-1, k).sum(axis=1).tolist()
+    waits = [0.0]
+    for s, g in zip(service.tolist(), formation_gaps[1:]):
+        waits.append(max(waits[-1] + s - g, 0.0))
+    return waits
+
+
+@pytest.mark.parametrize(
+    "mode, k, lam, num_frames, warmup, block",
+    [
+        (SimMode.STANDARD, 1, 300.0, 200_000, 1_003, 4096),
+        (SimMode.AGGREGATED, 7, 2000.0, 60_001, 2_500, 3000),
+        (SimMode.AGGREGATED, 5, 2500.0, 2_000_000, 10_003, None),  # light load
+    ],
+    ids=["standard", "aggregated-small-blocks", "aggregated-light-load"],
+)
+def test_queue_wait_matches_a_sequential_lindley_recursion(
+    monkeypatch, phy_b11, mode, k, lam, num_frames, warmup, block
+):
+    # Rounding noise on absolute times must not bias the mean: the waits
+    # are exactly 0 at every busy-period start, as in the recursion.
+    if block is not None:
+        monkeypatch.setattr(sim_module, "_BLOCK_FRAMES", block)
+    config = SimConfig(
+        mode=mode, phy=phy_b11, traffic=TrafficSpec.exponential(lam, 800.0), seed=17,
+        num_frames=num_frames, warmup_frames=warmup, k=k,
+    )
+    waits = _lindley_waits(*_replay(config), k)
+    measured = [min(k, max(0, (b + 1) * k - warmup)) for b in range(len(waits))]
+    expected = math.fsum(c * w for c, w in zip(measured, waits)) / sum(measured)
+    result = simulate(config)
+    assert result.frames_measured == sum(measured)
+    assert result.queue_wait_mean == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("warmup", [1_003, 7_502], ids=["first-block", "later-block"])
+def test_batch_means_equal_the_repeated_frame_means(monkeypatch, phy_b11, warmup):
+    # Blocks of 3000 frames: the warmup ends 3 frames (2 frames) into a batch
+    # of the first (third) block, which then counts as a partial batch.
+    monkeypatch.setattr(sim_module, "_BLOCK_FRAMES", 3000)
+    k = 5
+    config = SimConfig(
+        mode=SimMode.AGGREGATED, phy=phy_b11,
+        traffic=TrafficSpec.exponential(1500.0, 800.0), seed=23, num_frames=30_001,
+        warmup_frames=warmup, k=k,
+    )
+    gaps, service = _replay(config)
+    ready = np.cumsum(gaps)[k - 1 : service.size * k : k]
+    waits = sim_module._fifo_waits(ready, service, 0.0, -math.inf)[0]
+    result = simulate(config)
+    for name, batch_values in (("queue_wait_mean", waits), ("service_mean", service)):
+        frame_mean = float(np.mean(np.repeat(batch_values, k)[warmup:]))
+        got = getattr(result, name)
+        assert got == pytest.approx(frame_mean, rel=1e-12, abs=0.0), name
