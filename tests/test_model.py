@@ -286,6 +286,43 @@ def test_traffic_spec_validation():
         TrafficSpec.uniform_range(100.0, 1200.0, 400.0)
 
 
+def _spec(family, mean, var, **extra):
+    return TrafficSpec(100.0, mean, var, payload_family=family, **extra)
+
+
+def test_traffic_spec_moment_edges():
+    mean = 800.0
+    det, exp_, uni, emp = (PayloadFamily.DETERMINISTIC, PayloadFamily.EXPONENTIAL,
+                           PayloadFamily.UNIFORM_RANGE, PayloadFamily.EMPIRICAL)
+    with pytest.raises(ValueError, match="deterministic payloads require zero variance"):
+        _spec(det, mean, 1e-300)
+    _spec(exp_, mean, mean**2 * (1.0 + 1e-10))
+    with pytest.raises(ValueError, match=r"exponential payloads require variance == mean\*\*2"):
+        _spec(exp_, mean, mean**2 * (1.0 + 1e-8))
+    bounds = dict(uniform_lo=400.0, uniform_hi=1200.0)
+    _spec(uni, mean, 800.0**2 / 12.0 * (1.0 + 1e-10), **bounds)
+    with pytest.raises(ValueError, match=r"uniform-range moments do not match \[lo, hi\]"):
+        _spec(uni, mean, 800.0**2 / 12.0 * (1.0 + 1e-8), **bounds)
+    # an empirical sample's variance may be off by 1e-12 * mean**2 absolute
+    _spec(emp, mean, 1e-9, empirical_values=(800.0, 800.0))
+    with pytest.raises(ValueError, match="empirical moments do not match the sample"):
+        _spec(emp, mean, 1e-6, empirical_values=(800.0, 800.0))
+
+
+@pytest.mark.parametrize("lo, hi", [(1200.0, 400.0), (800.0, 800.0), (-100.0, 1700.0)])
+def test_uniform_range_needs_ordered_non_negative_bounds(lo, hi):
+    with pytest.raises(ValueError, match=r"uniform-range payloads require 0 <= lo < hi"):
+        TrafficSpec.uniform_range(100.0, lo, hi)
+
+
+@pytest.mark.parametrize("values", [(0.0, 800.0), (-100.0, 900.0)])
+def test_empirical_sizes_must_be_positive(values):
+    with pytest.raises(ValueError, match="non-empty list of positive sizes"):
+        TrafficSpec.empirical(100.0, values)
+    with pytest.raises(ValueError, match="non-empty list of positive sizes"):
+        _spec(PayloadFamily.EMPIRICAL, 800.0, 0.0, empirical_values=())
+
+
 # --- QueueMetrics invariants -----------------------------------------------
 
 
