@@ -40,7 +40,6 @@ from .sim import (
 )
 from .solver import (
     SearchParams,
-    SweepRow,
     ThresholdResult,
     gain_grid,
     k1_stability_limit,
@@ -63,7 +62,6 @@ __all__ = [
     "SimMode",
     "SimResult",
     "Standard",
-    "SweepRow",
     "ThresholdResult",
     "TrafficSpec",
     "UnsupportedRateError",

@@ -1,7 +1,7 @@
 """Command-line entry point: the subcommands in ``COMMANDS`` wrap the
 analytic model, the solver, and the simulator. Data goes to stdout or
-``--output``, diagnostics to stderr. Exit codes: 0 success, 2 bad config,
-3 threshold non-convergence, 4 simulation failure.
+``--output``, diagnostics to stderr. Exit codes: 0 success, 2 bad config
+or unwritable output, 3 threshold non-convergence, 4 simulation failure.
 
 ``FLAGS`` maps each flag to a config path and ``SCHEMA`` lists the keys,
 defaults and types of each config section (other keys are errors). Every
@@ -20,11 +20,11 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 from operator import attrgetter
 
-from .model import PKForm, TrafficSpec
+from .model import PKForm, QueueMetrics, TrafficSpec
 from .phy import RATES_11B, RATES_11G, PhyProfile, Standard, overhead_gamma, profile_for
 from .presets import preset
 from .sim import SimConfig, SimMode, replications, simulate, validate_against_model
-from .solver import SearchParams, SweepRow, gain_grid, lambda_threshold, optimal_k
+from .solver import SearchParams, gain_grid, lambda_threshold, optimal_k
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -259,6 +259,8 @@ def _parse_sim(section) -> dict:
         _require(sim["mode"] == "standard", "aggregated simulation needs sim.k >= 2")
         sim["k"] = 1
     _require(sim["replications"] >= 1, "sim.replications must be >= 1")
+    _require(sim["seed"] + sim["replications"] - 1 < 2**64,
+             "sim.seed + sim.replications - 1 must fit in 64 bits")
     return sim
 
 
@@ -477,8 +479,9 @@ SWEEP_HEADER = (
     "k,lambda,erlang_wait_s,service_mean_s,rho,queue_wait_s,"
     "system_time_s,gain_s,stable"
 )
-# Column -> SweepRow attribute; the row's fields are in column order.
-_SWEEP_FIELDS = dict(zip(SWEEP_HEADER.split(","), (f.name for f in fields(SweepRow))))
+# Column -> QueueMetrics attribute: the column without its unit suffix, lam for lambda.
+_SWEEP_FIELDS = {column: "lam" if column == "lambda" else column.removesuffix("_s")
+                 for column in SWEEP_HEADER.split(",")}
 _sweep_values = attrgetter(*_SWEEP_FIELDS.values())
 
 
@@ -491,13 +494,16 @@ def sweep_json(rows) -> str:
 
 
 def emit(records, out_format: str, path: str | None) -> None:
-    """Write records (dicts, or SweepRows via sweep_csv/sweep_json) to path or stdout."""
-    if isinstance(records, list) and records and isinstance(records[0], SweepRow):
+    """Write records (dicts, or QueueMetrics via sweep_csv/sweep_json) to path or stdout."""
+    if isinstance(records, list) and records and isinstance(records[0], QueueMetrics):
         text = sweep_csv(records) if out_format == "csv" else sweep_json(records)
     else:
         text = _render(records, out_format)
-    with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from None
 
 
 def _run_profiles(rc: RunConfig) -> int:

@@ -62,6 +62,25 @@ class PKForm(Enum):
 
 _DEFAULT_FORM = PKForm.DETERMINISTIC_SERVICE
 _MOMENT_RTOL = 1e-9
+_MOMENT_ERROR = {
+    PayloadFamily.DETERMINISTIC: "deterministic payloads require zero variance",
+    PayloadFamily.EXPONENTIAL: "exponential payloads require variance == mean**2",
+    PayloadFamily.UNIFORM_RANGE: "uniform-range moments do not match [lo, hi]",
+    PayloadFamily.EMPIRICAL: "empirical moments do not match the sample",
+}
+
+
+def _family_moments(family: PayloadFamily, mean=None, lo=None, hi=None, values=None) -> tuple:
+    """Payload mean and variance implied by ``mean`` (deterministic, exponential),
+    ``lo`` and ``hi`` (uniform) or the sample ``values`` (empirical)."""
+    if family is PayloadFamily.DETERMINISTIC:
+        return mean, 0.0
+    if family is PayloadFamily.EXPONENTIAL:
+        return mean, mean**2
+    if family is PayloadFamily.UNIFORM_RANGE:
+        return (lo + hi) / 2.0, (hi - lo) ** 2 / 12.0
+    mean = sum(values) / len(values)
+    return mean, sum((v - mean) ** 2 for v in values) / len(values)
 
 
 @dataclass(frozen=True)
@@ -84,95 +103,64 @@ class TrafficSpec:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.lambda_total < math.inf:
-            raise ValueError(
-                f"lambda_total must be positive and finite, got {self.lambda_total!r}"
-            )
-        for name, value in (("uniform_lo", self.uniform_lo), ("uniform_hi", self.uniform_hi)):
+            raise ValueError(f"lambda_total must be positive and finite, got {self.lambda_total!r}")
+        lo, hi, values = self.uniform_lo, self.uniform_hi, self.empirical_values
+        for name, value in (("uniform_lo", lo), ("uniform_hi", hi)):
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.empirical_values and not all(map(math.isfinite, self.empirical_values)):
-            raise ValueError(f"empirical_values must be finite, got {self.empirical_values!r}")
+        if values and not all(map(math.isfinite, values)):
+            raise ValueError(f"empirical_values must be finite, got {values!r}")
         if not 0.0 < self.payload_mean < math.inf:
             raise ValueError(f"payload_mean must be positive and finite, got {self.payload_mean!r}")
         if not 0.0 <= self.payload_variance < math.inf:
             raise ValueError("payload_variance must be non-negative and finite")
         fam = self.payload_family
-        if fam is PayloadFamily.DETERMINISTIC:
-            if self.payload_variance != 0.0:
-                raise ValueError("deterministic payloads require zero variance")
-        elif fam is PayloadFamily.EXPONENTIAL:
-            if not math.isclose(
-                self.payload_variance, self.payload_mean**2, rel_tol=_MOMENT_RTOL
-            ):
-                raise ValueError(
-                    "exponential payloads require variance == mean**2"
-                )
-        elif fam is PayloadFamily.UNIFORM_RANGE:
-            lo, hi = self.uniform_lo, self.uniform_hi
-            if lo is None or hi is None or not 0.0 <= lo < hi:
-                raise ValueError("uniform-range payloads require 0 <= lo < hi")
-            if not math.isclose(
-                self.payload_mean, (lo + hi) / 2.0, rel_tol=_MOMENT_RTOL
-            ) or not math.isclose(
-                self.payload_variance, (hi - lo) ** 2 / 12.0, rel_tol=_MOMENT_RTOL
-            ):
-                raise ValueError("uniform-range moments do not match [lo, hi]")
-        elif fam is PayloadFamily.EMPIRICAL:
-            values = self.empirical_values
-            if not values or any(v <= 0.0 for v in values):
-                raise ValueError(
-                    "empirical payloads require a non-empty list of positive sizes"
-                )
-            mean = sum(values) / len(values)
-            var = sum((v - mean) ** 2 for v in values) / len(values)
-            if not math.isclose(
-                self.payload_mean, mean, rel_tol=_MOMENT_RTOL
-            ) or not (
-                math.isclose(self.payload_variance, var, rel_tol=_MOMENT_RTOL)
-                or abs(self.payload_variance - var) < 1e-12 * mean * mean
-            ):
-                raise ValueError("empirical moments do not match the sample")
+        if fam is PayloadFamily.UNIFORM_RANGE and (lo is None or hi is None or not 0.0 <= lo < hi):
+            raise ValueError("uniform-range payloads require 0 <= lo < hi")
+        if fam is PayloadFamily.EMPIRICAL and (not values or any(v <= 0.0 for v in values)):
+            raise ValueError("empirical payloads require a non-empty list of positive sizes")
+        mean, var = _family_moments(fam, self.payload_mean, lo, hi, values)
+        # A sample's variance sums rounded squares, so it also passes within
+        # an absolute 1e-12 * mean**2; the closed forms must match relatively.
+        if not math.isclose(self.payload_mean, mean, rel_tol=_MOMENT_RTOL) or not (
+            math.isclose(self.payload_variance, var, rel_tol=_MOMENT_RTOL)
+            or fam is PayloadFamily.EMPIRICAL
+            and abs(self.payload_variance - var) < 1e-12 * mean * mean
+        ):
+            raise ValueError(_MOMENT_ERROR[fam])
 
     @classmethod
     def deterministic(cls, lambda_total: float, mean_bits: float) -> "TrafficSpec":
-        return cls(lambda_total, mean_bits, 0.0, PayloadFamily.DETERMINISTIC)
+        family = PayloadFamily.DETERMINISTIC
+        return cls(lambda_total, *_family_moments(family, mean_bits), family)
 
     @classmethod
     def exponential(cls, lambda_total: float, mean_bits: float) -> "TrafficSpec":
-        return cls(lambda_total, mean_bits, mean_bits**2, PayloadFamily.EXPONENTIAL)
+        family = PayloadFamily.EXPONENTIAL
+        return cls(lambda_total, *_family_moments(family, mean_bits), family)
 
     @classmethod
-    def uniform_range(
-        cls, lambda_total: float, lo_bits: float, hi_bits: float
-    ) -> "TrafficSpec":
-        mean = (lo_bits + hi_bits) / 2.0
-        var = (hi_bits - lo_bits) ** 2 / 12.0
-        return cls(
-            lambda_total,
-            mean,
-            var,
-            PayloadFamily.UNIFORM_RANGE,
-            uniform_lo=lo_bits,
-            uniform_hi=hi_bits,
-        )
+    def uniform_range(cls, lambda_total: float, lo_bits: float, hi_bits: float) -> "TrafficSpec":
+        family = PayloadFamily.UNIFORM_RANGE
+        moments = _family_moments(family, lo=lo_bits, hi=hi_bits)
+        return cls(lambda_total, *moments, family, uniform_lo=lo_bits, uniform_hi=hi_bits)
 
     @classmethod
     def empirical(cls, lambda_total: float, values_bits) -> "TrafficSpec":
         values = tuple(float(v) for v in values_bits)
         if not values:
             raise ValueError("empirical payloads require at least one value")
-        mean = sum(values) / len(values)
-        var = sum((v - mean) ** 2 for v in values) / len(values)
-        return cls(
-            lambda_total, mean, var, PayloadFamily.EMPIRICAL, empirical_values=values
-        )
+        family = PayloadFamily.EMPIRICAL
+        moments = _family_moments(family, values=values)
+        return cls(lambda_total, *moments, family, empirical_values=values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueueMetrics:
-    """One evaluation of the analytic chain for a given batch size."""
+    """One evaluation of the analytic chain at batch size ``k`` and rate ``lam``."""
 
     k: int
+    lam: float
     erlang_wait: float
     service_mean: float
     service_variance: float
@@ -212,11 +200,15 @@ def _service(k, m: _Moments):
     return mean, m.backoff_var + k * m.payload_variance / m.bit_rate_sq
 
 
-def _chain(k, lam, m: _Moments, form: PKForm) -> tuple:
+#: The kernel's outputs: the QueueMetrics fields after ``k`` and ``lam``.
+_Chain = namedtuple("_Chain", [f.name for f in fields(QueueMetrics)[2:]])
+
+
+def _chain(k, lam, m: _Moments, form: PKForm) -> _Chain:
     """The chain over numpy float ``k`` and ``lam``, which broadcast.
 
-    Returns the QueueMetrics fields after ``k``, in their order; the two
-    service moments keep the shape of ``k``. Each operation runs in the
+    Returns a ``_Chain`` of numpy values; the two service moments keep
+    the shape of ``k``, the others broadcast both. Each operation runs in the
     order the scalar formulas below give, and numpy rounds each one as
     Python does, so a grid point equals the point evaluated alone, bit for bit.
     """
@@ -237,18 +229,14 @@ def _chain(k, lam, m: _Moments, form: PKForm) -> tuple:
         erlang, mean, var, lam_a, rho, wait, total = system(k)
         # inf - finite, finite - inf and inf - inf give gain()'s +inf, -inf and NaN.
         g = np.where(k == 1, 0.0, total - system(1.0)[-1])
-    return erlang, mean, var, lam_a, rho, wait, total, g, rho < 1.0
+    return _Chain(erlang, mean, var, lam_a, rho, wait, total, g, rho < 1.0)
 
 
-def _point(k: int, lam: float, phy: PhyProfile, traffic: TrafficSpec, form: PKForm) -> tuple:
+def _point(k: int, lam: float, phy: PhyProfile, traffic: TrafficSpec, form: PKForm) -> _Chain:
     """The kernel's outputs for one checked (k, lam) point, as numpy scalars."""
     _check_k(k)
     _check_lambda(lam)
     return _chain(np.float64(k), np.float64(lam), _moments(phy, traffic), form)
-
-
-#: Position of each QueueMetrics field after ``k`` in ``_chain``'s result.
-_FIELD = {f.name: i for i, f in enumerate(fields(QueueMetrics)[1:])}
 
 
 def erlang_wait(k: int, lam: float) -> float:
@@ -301,14 +289,14 @@ def queue_wait(
     with lam_a = lam/k, rho = lam_a/mu and s^2 the service variance.
     Returns UNBOUNDED when rho >= 1.
     """
-    return _point(k, lam, phy, traffic, form)[_FIELD["queue_wait"]].item()
+    return _point(k, lam, phy, traffic, form).queue_wait.item()
 
 
 def system_time(
     k: int, lam: float, phy: PhyProfile, traffic: TrafficSpec, form: PKForm = _DEFAULT_FORM
 ) -> float:
     """Mean total time of a frame: F(k) = (Er(k) + 1/mu(k)) + W(k)."""
-    return _point(k, lam, phy, traffic, form)[_FIELD["system_time"]].item()
+    return _point(k, lam, phy, traffic, form).system_time.item()
 
 
 def gain(
@@ -322,11 +310,12 @@ def gain(
     +UNBOUNDED when only the aggregated system is unstable;
     BOTH_UNSTABLE (NaN) when neither is stable.
     """
-    return _point(k, lam, phy, traffic, form)[_FIELD["gain"]].item()
+    return _point(k, lam, phy, traffic, form).gain.item()
 
 
 def evaluate(
     k: int, lam: float, phy: PhyProfile, traffic: TrafficSpec, form: PKForm = _DEFAULT_FORM
 ) -> QueueMetrics:
     """Evaluate the whole chain for one (k, lam) point."""
-    return QueueMetrics(k, *(value.item() for value in _point(k, lam, phy, traffic, form)))
+    values = _point(k, lam, phy, traffic, form)
+    return QueueMetrics(k, float(lam), *(value.item() for value in values))

@@ -114,6 +114,11 @@ class SimConfig:
         return self.traffic.lambda_total
 
 
+def _defined(x: float) -> float | None:
+    """``x``, or None (JSON null) where it is undefined (NaN)."""
+    return None if math.isnan(x) else x
+
+
 @dataclass(frozen=True)
 class SimResult:
     """Measured sojourn statistics of one run.
@@ -151,22 +156,18 @@ class SimResult:
 
     def to_dict(self) -> dict:
         """JSON-ready mapping; undefined (NaN) statistics become null."""
-
-        def f(x: float):
-            return None if math.isnan(x) else x
-
         return {
             "frames_generated": self.frames_generated,
             "frames_measured": self.frames_measured,
             "warmup_excluded": self.warmup_excluded,
             "in_flight": self.in_flight,
-            "sojourn_mean_s": f(self.sojourn_mean),
-            "sojourn_stddev_s": f(self.sojourn_stddev),
-            "ci95_halfwidth_s": f(self.ci95_halfwidth),
-            "buffer_wait_mean_s": f(self.buffer_wait_mean),
-            "buffer_wait_ci95_s": f(self.buffer_wait_ci95),
-            "queue_wait_mean_s": f(self.queue_wait_mean),
-            "service_mean_s": f(self.service_mean),
+            "sojourn_mean_s": _defined(self.sojourn_mean),
+            "sojourn_stddev_s": _defined(self.sojourn_stddev),
+            "ci95_halfwidth_s": _defined(self.ci95_halfwidth),
+            "buffer_wait_mean_s": _defined(self.buffer_wait_mean),
+            "buffer_wait_ci95_s": _defined(self.buffer_wait_ci95),
+            "queue_wait_mean_s": _defined(self.queue_wait_mean),
+            "service_mean_s": _defined(self.service_mean),
         }
 
     def to_json(self) -> str:
@@ -416,34 +417,27 @@ class ValidationReport:
     interbatch_cv: float
 
     def to_dict(self) -> dict:
-        def f(x: float):
-            return None if math.isnan(x) else ("inf" if math.isinf(x) else x)
-
+        """JSON mapping: undefined (NaN) values become null, infinities stay floats."""
         return {
             "mode": self.mode.value,
             "k": self.k,
             "lambda_pps": self.lam,
             "form": self.form.value,
             "analytic_stable": self.analytic_stable,
-            "analytic_system_time_s": f(self.analytic_system_time),
+            "analytic_system_time_s": _defined(self.analytic_system_time),
             "sim": None if self.sim is None else self.sim.to_dict(),
-            "abs_deviation_s": f(self.abs_deviation),
-            "rel_deviation": f(self.rel_deviation),
+            "abs_deviation_s": _defined(self.abs_deviation),
+            "rel_deviation": _defined(self.rel_deviation),
             "within_ci95": self.within_ci95,
-            "interbatch_cv": f(self.interbatch_cv),
+            "interbatch_cv": _defined(self.interbatch_cv),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(", ", ": "))
 
 
 def validate_against_model(
     config: SimConfig, form: PKForm = PKForm.DETERMINISTIC_SERVICE
 ) -> ValidationReport:
     """Run the simulator and compare its sojourn mean to the analytic F(k)."""
-    k_eff = config.k if config.mode is SimMode.AGGREGATED else 1
-    lam = config.arrival_rate
-    metrics = evaluate(k_eff, lam, config.phy, config.traffic, form)
+    metrics = evaluate(config.k, config.arrival_rate, config.phy, config.traffic, form)
     result, abs_dev, rel_dev, within = None, math.nan, math.nan, None
     if metrics.stable:
         result = simulate(config)
@@ -453,8 +447,8 @@ def validate_against_model(
             within = bool(abs_dev <= result.ci95_halfwidth)
     return ValidationReport(
         mode=config.mode,
-        k=k_eff,
-        lam=lam,
+        k=metrics.k,
+        lam=metrics.lam,
         form=form,
         analytic_stable=metrics.stable,
         analytic_system_time=metrics.system_time,

@@ -3,8 +3,10 @@
 ``lambda_threshold`` finds the traffic rate where the aggregation gain
 G(k) first turns non-positive (the break-even point), a cubic root in
 closed form; ``optimal_k`` picks the batch size minimizing mean system
-time at a fixed rate, and ``gain_grid`` evaluates a (k, lambda) grid for
-serialization. All three run the model's one numpy kernel.
+time at a fixed rate, and ``gain_grid`` evaluates a (k, lambda) grid.
+All three run the model's one numpy kernel; ``optimal_k`` and
+``gain_grid`` return its points as the model's ``QueueMetrics`` records,
+the same ones ``evaluate`` gives.
 """
 
 from __future__ import annotations
@@ -69,21 +71,6 @@ class ThresholdResult:
     iterations: int
     converged: bool
     note: str = ""
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One (k, lambda) grid point, mirroring the model outputs."""
-
-    k: int
-    lam: float
-    erlang_wait: float
-    service_mean: float
-    rho: float
-    queue_wait: float
-    system_time: float
-    gain: float
-    stable: bool
 
 
 def k1_stability_limit(phy: PhyProfile, traffic: TrafficSpec) -> float:
@@ -167,8 +154,7 @@ def lambda_threshold(
     roots = [x for x in _positive_roots(*coeffs) if lam_min < x < limit and x <= lam_max]
     root, steps = _polish(coeffs, min(roots)) if roots else (math.nan, 0)
     low, high = root * (1.0 - 0.25 * search.rel_tol), root * (1.0 + 0.25 * search.rel_tol)
-    *_, g, _ = _chain(np.float64(k), np.array([lam_min, low, high]), m, form)
-    g = g.tolist()
+    g = _chain(np.float64(k), np.array([lam_min, low, high]), m, form).gain.tolist()
     if g[0] <= 0.0:
         note = "gain already non-positive at lambda_min"
         return ThresholdResult(k, lam_min, (lam_min, lam_min), 0, True, note)
@@ -192,15 +178,15 @@ def optimal_k(
         raise ValueError(f"k_max must be an integer >= 1, got {k_max!r}")
     _check_lambda(lam)
     values = _chain(np.arange(1.0, k_max + 1.0), np.float64(lam), _moments(phy, traffic), form)
-    total = values[6]  # system_time
+    total = values.system_time
     finite = np.isfinite(total)
     best = int(np.argmin(np.where(finite, total, np.inf))) if finite.any() else k_max - 1
-    return best + 1, QueueMetrics(best + 1, *(value[best].item() for value in values))
+    return best + 1, QueueMetrics(best + 1, float(lam), *(value[best].item() for value in values))
 
 
 def gain_grid(
     k_set, lambda_grid, phy: PhyProfile, traffic: TrafficSpec, form: PKForm = _DEFAULT_FORM
-) -> list[SweepRow]:
+) -> list[QueueMetrics]:
     """Evaluate every (k, lambda) pair, k outer and lambda inner.
 
     Rows for unstable points carry the unbounded markers; nothing is
@@ -218,10 +204,6 @@ def gain_grid(
         np.array(k_values, dtype=float)[:, None], np.array(lam_values), _moments(phy, traffic), form
     )
     shape = (len(k_values), len(lam_values))
-    erlang, mean, _, _, rho, wait, total, g, stable = (
-        np.broadcast_to(value, shape).ravel().tolist() for value in values
-    )
+    columns = (np.broadcast_to(value, shape).ravel().tolist() for value in values)
     ks = [k for k in k_values for _ in lam_values]
-    return list(
-        map(SweepRow, ks, lam_values * len(k_values), erlang, mean, rho, wait, total, g, stable)
-    )
+    return list(map(QueueMetrics, ks, lam_values * len(k_values), *columns))

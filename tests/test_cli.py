@@ -259,6 +259,40 @@ def test_output_file_keeps_stdout_clean(tmp_path, capsys):
     assert content.endswith("\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--preset", "fig3"),
+        ("gain", "--k", "2", "--lambda", "100"),
+        ("simulate", "--lambda", "100", "--frames", "1000", "--warmup", "0"),
+    ],
+)
+@pytest.mark.parametrize("target", ["missing/rows.out", "."])
+def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys, argv, target):
+    code, out, err = run(capsys, *argv, "--output", str(tmp_path / target))
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+
+
+def test_simulate_seed_range_past_64_bits_exits_2_before_running(capsys, monkeypatch):
+    import aggdelay.cli as cli_mod
+
+    def never(*args):
+        raise AssertionError("no replication may run")
+
+    monkeypatch.setattr(cli_mod, "simulate", never)
+    monkeypatch.setattr(cli_mod, "replications", never)
+    argv = ("simulate", "--lambda", "100", "--frames", "1000", "--warmup", "0",
+            "--seed", str(2**64 - 1))
+    code, out, err = run(capsys, *argv, "--replications", "2")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "64 bits" in err
+    code, _, err = run(capsys, *argv)
+    assert code == 4 and "no replication may run" in err  # one seed still fits
+
+
 def test_simulate_json_default_and_determinism(capsys):
     argv = (
         "simulate",

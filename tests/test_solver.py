@@ -12,6 +12,7 @@ import pytest
 
 from aggdelay import (
     PKForm,
+    QueueMetrics,
     SearchParams,
     TrafficSpec,
     evaluate,
@@ -183,6 +184,13 @@ def test_gain_grid_single_point_matches_direct_evaluation(phy_b11, det800):
     assert row.system_time == m.system_time
     assert row.gain == m.gain
     assert row.stable == m.stable
+
+
+def test_every_chain_point_is_a_queue_metrics_record_with_its_rate(phy_b11, det800):
+    assert evaluate(4, 250.0, phy_b11, det800).lam == 250.0
+    assert optimal_k(1500.0, phy_b11, det800)[1].lam == 1500.0
+    rows = gain_grid([1, 4], [250.0, 900.0], phy_b11, det800)
+    assert all(type(row) is QueueMetrics for row in rows)
 
 
 def test_gain_grid_keeps_unstable_rows(phy_b11, det800):
