@@ -124,8 +124,8 @@ class TrafficSpec:
         # an absolute 1e-12 * mean**2; the closed forms must match relatively.
         if not math.isclose(self.payload_mean, mean, rel_tol=_MOMENT_RTOL) or not (
             math.isclose(self.payload_variance, var, rel_tol=_MOMENT_RTOL)
-            or fam is PayloadFamily.EMPIRICAL
-            and abs(self.payload_variance - var) < 1e-12 * mean * mean
+            or (fam is PayloadFamily.EMPIRICAL
+                and abs(self.payload_variance - var) < 1e-12 * mean * mean)
         ):
             raise ValueError(_MOMENT_ERROR[fam])
 

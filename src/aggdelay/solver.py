@@ -204,6 +204,7 @@ def gain_grid(
         np.array(k_values, dtype=float)[:, None], np.array(lam_values), _moments(phy, traffic), form
     )
     shape = (len(k_values), len(lam_values))
-    columns = (np.broadcast_to(value, shape).ravel().tolist() for value in values)
+    # Through object arrays, a column of k alone (the service moments) holds one float per k.
+    columns = (np.broadcast_to(value.astype(object), shape).ravel().tolist() for value in values)
     ks = [k for k in k_values for _ in lam_values]
     return list(map(QueueMetrics, ks, lam_values * len(k_values), *columns))
