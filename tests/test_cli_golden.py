@@ -39,6 +39,13 @@ CASES = {
     "sweep-nonfinite-csv": ("sweep", "--k", "1,2", "--lambda", "1e9"),
     "sweep-nonfinite-json": ("sweep", "--k", "1,2", "--lambda", "1e9", "--format", "json"),
     "sweep-unstable-grid-csv": ("sweep", "--k", "1,5", "--lambda", "2500:3000:2"),
+    "sweep-unstable-grid-json": (
+        "sweep", "--k", "1,5", "--lambda", "2500:3000:2", "--format", "json",
+    ),
+    "sweep-geometric-uniform-csv": (
+        "sweep", "--k", "1,3,8", "--lambda", "50:20000:9", "--grid-kind", "geometric",
+        "--form", "general-pk", "--payload-uniform", "400:1200",
+    ),
     "sweep-geometric-json": (
         "sweep", "--preset", "fig3", "--k", "2..4", "--lambda", "10:1500:7",
         "--grid-kind", "geometric", "--format", "json",
@@ -133,6 +140,8 @@ DIGESTS = {
     "sweep-nonfinite-csv": (0, "2c4b1defd9e701a161099ed429373c725a8555eab148b9263d420a83fa45bbff"),
     "sweep-nonfinite-json": (0, "503473be4c20d177da1017ebf9433df3cc4bb1360217bb9a49d19f85fb91730c"),
     "sweep-unstable-grid-csv": (0, "fa9ea3109fded44915ee737fc5ed9fa082ac26fdb279b3234f750ff2d000bda2"),
+    "sweep-unstable-grid-json": (0, "33ada0bd9f9421fa394614ca94aee8b9f87025eb2ba331fbebacb7f56f5ff616"),
+    "sweep-geometric-uniform-csv": (0, "60d85fe62ae03ac4e5cd82cf8d2a7bb7687097820cae4f5dff92ae0c4b14b46f"),
     "threshold-fig4-11": (0, "fb7f51595ccbcc7e6183dea0527252152b395ea94293ff4fe52716c166fc834c"),
     "threshold-fig5-54-json": (0, "66bc0f8de92ba6e366ae05e11a55cf98a03f587cb2c4484ce9f5c763a271b444"),
     "threshold-nonconverging": (3, "9cc11bcdf15f4031651fc7fef1b347ae5ee7a9a1bc61ca4f82fb42c0c5eb8bb0"),
