@@ -18,13 +18,12 @@ import sys
 from collections import namedtuple
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
-from operator import attrgetter
 
-from .model import PKForm, QueueMetrics, TrafficSpec
+from .model import PKForm, TrafficSpec
 from .phy import RATES_11B, RATES_11G, PhyProfile, Standard, overhead_gamma, profile_for
 from .presets import preset
 from .sim import SimConfig, SimMode, replications, simulate, validate_against_model
-from .solver import SearchParams, gain_grid, lambda_threshold, optimal_k
+from .solver import GainGrid, SearchParams, gain_grid, lambda_threshold, optimal_k
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -450,27 +449,26 @@ def _config_from_args(command: str, args: argparse.Namespace) -> dict:
     return _merge(cfg, flags)
 
 
-# json.dumps(indent=2) writes in pure Python; for a list of flat records, json's C
-# encoder with these separators lays out each record the same way, faster.
+# json.dumps(indent=2) writes in pure Python; for a list of flat records, json's C encoder
+# lays out each record's body the same way, faster, and _json_list lays out the list.
 _flat_json = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": ")).encode
+_JSON_SEP = "\n  },\n  {\n    "
 
 
-def _csv(header, rows) -> str:
-    """CSV text: the header, then the fmt cells of each row of values."""
-    lines = [",".join(header), *(",".join(map(fmt, values)) for values in rows)]
-    return "\n".join(lines) + "\n"
+def _json_list(items: list) -> str:
+    return "[\n  {\n    " + _JSON_SEP.join(items) + "\n  }\n]\n"
 
 
 def _render(records, out_format: str) -> str:
-    """CSV (header: the record keys) or JSON text of a dict or a list of dicts."""
+    """CSV (header: the record keys, cells: fmt) or JSON text of a dict or a list of dicts."""
     rows = [records] if isinstance(records, dict) else records
     if out_format == "csv":
-        return _csv(rows[0], (row.values() for row in rows))
+        lines = [",".join(rows[0]), *(",".join(map(fmt, row.values())) for row in rows)]
+        return "\n".join(lines) + "\n"
     rows = [{key: _json_value(value) for key, value in row.items()} for row in rows]
     flat = rows and not any(isinstance(v, (dict, list, tuple)) for v in rows[0].values())
     if isinstance(records, list) and flat:
-        items = "\n  },\n  {\n    ".join(_flat_json(row)[1:-1] for row in rows)
-        return "[\n  {\n    " + items + "\n  }\n]\n"
+        return _json_list([_flat_json(row)[1:-1] for row in rows])
     data = rows[0] if isinstance(records, dict) else rows
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
@@ -482,20 +480,47 @@ SWEEP_HEADER = (
 # Column -> QueueMetrics attribute: the column without its unit suffix, lam for lambda.
 _SWEEP_FIELDS = {column: "lam" if column == "lambda" else column.removesuffix("_s")
                  for column in SWEEP_HEADER.split(",")}
-_sweep_values = attrgetter(*_SWEEP_FIELDS.values())
+_BOOL_CELL = ("false", "true").__getitem__
+_JSON_NONFINITE = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
+# One sweep JSON record's body, keys sorted: {k} and {mean} are filled once per k, % the rest.
+_JSON_ROW = ",\n    ".join(f'"{name}": ' + {"k": "{k}", "service_mean_s": "{mean}"}.get(name, "%s")
+                           for name in sorted(_SWEEP_FIELDS))
 
 
-def sweep_csv(rows) -> str:
-    return _csv(_SWEEP_FIELDS, map(_sweep_values, rows))
+def _json_numbers(values: list) -> list:
+    """JSON cells of floats: json's own repr, with _json_value's strings for non-finite ones."""
+    cells = list(map(float.__repr__, values))
+    return cells if math.isfinite(sum(values)) else list(map(_JSON_NONFINITE.get, cells, cells))
 
 
-def sweep_json(rows) -> str:
-    return _render([dict(zip(_SWEEP_FIELDS, _sweep_values(row))) for row in rows], "json")
+def sweep_csv(grid: GainGrid) -> str:
+    """``_csv`` text of a sweep, formatted column by column, one k-row at a time."""
+    c, number = grid.columns, "{:.12g}".format
+    lam, lines = list(map(number, grid.lam_values)), [SWEEP_HEADER]
+    for i, k in enumerate(grid.k_values):
+        line = f"{k},%s,%s,{number(c.service_mean.item(i, 0))},%s,%s,%s,%s,%s".__mod__
+        floats = (map(number, value[i].tolist())
+                  for value in (c.erlang_wait, c.rho, c.queue_wait, c.system_time, c.gain))
+        lines.append("\n".join(map(line, zip(lam, *floats, map(_BOOL_CELL, c.stable[i].tolist())))))
+    return "\n".join(lines) + "\n"
+
+
+def sweep_json(grid: GainGrid) -> str:
+    """``_render`` JSON text of a sweep, formatted column by column, one k-row at a time."""
+    c = grid.columns
+    lam, items = list(map(float.__repr__, grid.lam_values)), []
+    for i, k in enumerate(grid.k_values):
+        line = _JSON_ROW.format(k=k, mean=float.__repr__(c.service_mean.item(i, 0))).__mod__
+        erlang, gain, wait, rho, total = (_json_numbers(value[i].tolist()) for value in (
+            c.erlang_wait, c.gain, c.queue_wait, c.rho, c.system_time))
+        stable = map(_BOOL_CELL, c.stable[i].tolist())
+        items.append(_JSON_SEP.join(map(line, zip(erlang, gain, lam, wait, rho, stable, total))))
+    return _json_list(items)
 
 
 def emit(records, out_format: str, path: str | None) -> None:
-    """Write records (dicts, or QueueMetrics via sweep_csv/sweep_json) to path or stdout."""
-    if isinstance(records, list) and records and isinstance(records[0], QueueMetrics):
+    """Write records (dicts, or a GainGrid via sweep_csv/sweep_json) to path or stdout."""
+    if isinstance(records, GainGrid):
         text = sweep_csv(records) if out_format == "csv" else sweep_json(records)
     else:
         text = _render(records, out_format)

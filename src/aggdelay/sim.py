@@ -461,5 +461,5 @@ def validate_against_model(
 
 
 def replications(config: SimConfig, seeds) -> list[tuple[int, SimResult]]:
-    """Run the same configuration under each seed, one result per seed."""
-    return [(int(s), simulate(replace(config, seed=int(s)))) for s in seeds]
+    """Run the same configuration under each seed, all checked first; one result per seed."""
+    return [(c.seed, simulate(c)) for c in [replace(config, seed=int(s)) for s in seeds]]

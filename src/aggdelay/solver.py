@@ -4,21 +4,22 @@
 G(k) first turns non-positive (the break-even point), a cubic root in
 closed form; ``optimal_k`` picks the batch size minimizing mean system
 time at a fixed rate, and ``gain_grid`` evaluates a (k, lambda) grid.
-All three run the model's one numpy kernel; ``optimal_k`` and
-``gain_grid`` return its points as the model's ``QueueMetrics`` records,
-the same ones ``evaluate`` gives.
-"""
+All three run the model's one numpy kernel. ``optimal_k`` returns its point
+as the ``QueueMetrics`` record ``evaluate`` gives; ``gain_grid`` returns a
+``GainGrid``, a sequence of those records over the kernel's columns."""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 # evaluate and gain stay importable from this module, where profilers wrap them.
 from .model import PKForm, QueueMetrics, TrafficSpec, evaluate, gain, service_time  # noqa: F401
-from .model import _DEFAULT_FORM, _chain, _check_k, _check_lambda, _moments, _service
+from .model import _DEFAULT_FORM, _Chain, _chain, _check_k, _check_lambda, _moments, _service
 from .phy import PhyProfile
 
 
@@ -184,15 +185,42 @@ def optimal_k(
     return best + 1, QueueMetrics(best + 1, float(lam), *(value[best].item() for value in values))
 
 
+class GainGrid(Sequence):
+    """``QueueMetrics`` rows of a (k, lambda) grid, k outer, built only when indexed or
+    iterated from ``k_values``, ``lam_values`` and the kernel's ``columns`` broadcast to
+    (k, lambda). It equals a list of the same rows."""
+
+    def __init__(self, k_values: tuple, lam_values: list, columns) -> None:
+        self.k_values, self.lam_values, self.columns = k_values, lam_values, columns
+
+    def __len__(self) -> int:
+        return len(self.k_values) * len(self.lam_values)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i, j = divmod(range(len(self))[index], len(self.lam_values))
+        return QueueMetrics(self.k_values[i], self.lam_values[j],
+                            *(value.item(i, j) for value in self.columns))
+
+    def __iter__(self):
+        for i, k in enumerate(self.k_values):
+            yield from map(QueueMetrics, repeat(k), self.lam_values,
+                           *(value[i].tolist() for value in self.columns))
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other) if isinstance(other, (GainGrid, list)) else NotImplemented
+
+
 def gain_grid(
     k_set, lambda_grid, phy: PhyProfile, traffic: TrafficSpec, form: PKForm = _DEFAULT_FORM
-) -> list[QueueMetrics]:
-    """Evaluate every (k, lambda) pair, k outer and lambda inner.
+) -> GainGrid:
+    """Evaluate every (k, lambda) pair, k outer and lambda inner, in one kernel call.
 
-    Rows for unstable points carry the unbounded markers; nothing is
-    omitted. Pure function of its inputs.
+    Returns a ``GainGrid`` of ``QueueMetrics`` rows, each built when read; unstable
+    points carry the unbounded markers, none is omitted. Pure function of its inputs.
     """
-    k_values = list(k_set)
+    k_values = tuple(k_set)
     lam_values = [float(lam) for lam in lambda_grid]
     if not k_values or not lam_values:
         raise ValueError("k_set and lambda_grid must be non-empty")
@@ -204,7 +232,4 @@ def gain_grid(
         np.array(k_values, dtype=float)[:, None], np.array(lam_values), _moments(phy, traffic), form
     )
     shape = (len(k_values), len(lam_values))
-    # Through object arrays, a column of k alone (the service moments) holds one float per k.
-    columns = (np.broadcast_to(value.astype(object), shape).ravel().tolist() for value in values)
-    ks = [k for k in k_values for _ in lam_values]
-    return list(map(QueueMetrics, ks, lam_values * len(k_values), *columns))
+    return GainGrid(k_values, lam_values, _Chain._make(np.broadcast_to(v, shape) for v in values))

@@ -20,3 +20,22 @@ def load_spans():
 @pytest.mark.parametrize("module, attribute", [b[:2] for b in load_spans().BOUNDARIES])
 def test_traced_boundary_exists_and_is_callable(module, attribute):
     assert callable(getattr(importlib.import_module(module), attribute, None))
+
+
+def test_sweep_calls_each_traced_grid_name_once_with_the_whole_grid(monkeypatch, capsys):
+    """``solver.grid_us_per_point`` and ``cli.*_us_per_row`` divide by the
+    ``len()`` of what these names pass on, so each must see the whole grid."""
+    cli = importlib.import_module("aggdelay.cli")
+    sizes = {}
+    for name in ("gain_grid", "sweep_csv", "sweep_json"):
+        def shim(*args, _name=name, _fn=getattr(cli, name)):
+            result = _fn(*args)
+            sizes.setdefault(_name, []).append(len(result if _name == "gain_grid" else args[0]))
+            return result
+        monkeypatch.setattr(cli, name, shim)
+    sweep = ["sweep", "--k", "2,5,9", "--lambda", "100:1500:7"]
+    assert cli.main(sweep) == 0
+    assert cli.main([*sweep, "--format", "json"]) == 0
+    assert cli.main(["gain", "--k", "4", "--lambda", "900"]) == 0
+    assert sizes == {"gain_grid": [21, 21, 1], "sweep_csv": [21, 1], "sweep_json": [21]}
+    assert len(capsys.readouterr().out.splitlines()) == 22 + 21 * 11 + 2 + 2

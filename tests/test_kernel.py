@@ -9,6 +9,7 @@ closed form replaced, run on the reference gain to 1e-12.
 
 import math
 import random
+from operator import attrgetter
 
 import pytest
 
@@ -25,6 +26,7 @@ from aggdelay import (
     overhead_gamma,
     profile_for,
 )
+from aggdelay.cli import _SWEEP_FIELDS, _render, fmt, sweep_csv, sweep_json
 from conftest import custom_profile
 
 DET = PKForm.DETERMINISTIC_SERVICE
@@ -162,6 +164,36 @@ def test_kernel_matches_reference_chain_bitwise():
                 g = want["gain"]
                 seen.add("nan" if math.isnan(g) else g if math.isinf(g) else "finite")
     assert {"finite", -math.inf, "nan"} <= seen
+
+
+def test_columnar_sweep_text_matches_the_per_record_route():
+    """sweep_csv and sweep_json format the kernel's columns a k-row at a
+    time; their bytes must equal _render over one dict per QueueMetrics row."""
+    row_values = attrgetter(*_SWEEP_FIELDS.values())
+    rng = random.Random(0x5EE9)
+    # Overhead-free service: every k shares one stability limit, and just below
+    # it rounding leaves k=7 unstable and k=1 stable, the one way to a +inf gain.
+    bare = custom_profile(bit_rate=1e6, difs=0.0, sifs=0.0, preamble=0.0, cw=0,
+                          mac_header_bits=0, crc_bits=0, ack_bits=0, backoff_override=0.0)
+    cases = [(bare, TrafficSpec.deterministic(1.0, 149.0), [1, 7], [math.nextafter(1e6 / 149.0, 0.0)])]
+    for n in range(30):
+        phy, traffic = random_case(rng)
+        k_values = sorted(set(rng.sample(range(1, 151), 4)) | {1})
+        lams = rates(rng, phy, traffic, k_values)
+        if n % 3 == 0:  # a single-rate gain call
+            k_values, lams = [rng.choice(k_values)], [rng.choice(lams)]
+        elif n % 3 == 1:
+            lams = rng.sample(lams, len(lams))
+        cases.append((phy, traffic, k_values, lams))
+    gains = set()
+    for phy, traffic, k_values, lams in cases:
+        for form in PKForm:
+            grid = gain_grid(k_values, lams, phy, traffic, form)
+            records = [dict(zip(_SWEEP_FIELDS, row_values(row))) for row in list(grid)]
+            assert sweep_csv(grid) == _render(records, "csv")
+            assert sweep_json(grid) == _render(records, "json")
+            gains.update("finite" if math.isfinite(g) and g else fmt(g) for g in grid.columns.gain.flat)
+    assert gains == {"0", "finite", "inf", "-inf", "nan"}
 
 
 @pytest.mark.parametrize("form", list(PKForm))

@@ -370,6 +370,17 @@ def test_replications_one_result_per_seed(phy_b11, det800):
     assert rows[0][1] != rows[1][1]
 
 
+def test_replications_checks_every_seed_before_running_any(phy_b11, det800, monkeypatch):
+    config = SimConfig(
+        mode=SimMode.STANDARD, phy=phy_b11, traffic=det800, seed=0, num_frames=5_000
+    )
+    runs = []
+    monkeypatch.setattr(sim_module, "simulate", runs.append)
+    with pytest.raises(ValueError, match="64 bits"):
+        replications(config, [2**64 - 1, 2**64])
+    assert runs == []
+
+
 def test_config_validation_errors(phy_b11, det800):
     good = dict(
         mode=SimMode.STANDARD, phy=phy_b11, traffic=det800, seed=1, num_frames=10

@@ -193,6 +193,18 @@ def test_every_chain_point_is_a_queue_metrics_record_with_its_rate(phy_b11, det8
     assert all(type(row) is QueueMetrics for row in rows)
 
 
+def test_gain_grid_is_a_sequence_that_equals_the_list_of_its_rows(phy_b11, det800):
+    rows = gain_grid([1, 5], [250.0, 900.0, 2500.0], phy_b11, det800)
+    listed = list(rows)
+    assert len(rows) == 6 and rows == listed and listed == rows
+    assert [rows[i] for i in range(-6, 6)] == listed * 2
+    assert rows[1:5:2] == listed[1:5:2] and rows[::-1] == listed[::-1]
+    assert rows[4] == evaluate(5, 900.0, phy_b11, det800)
+    with pytest.raises(IndexError):
+        rows[6]
+    assert rows != listed[:-1] and rows != tuple(listed)
+
+
 def test_gain_grid_keeps_unstable_rows(phy_b11, det800):
     rows = gain_grid([1, 5], [1500.0, 2500.0], phy_b11, det800)
     unstable = [r for r in rows if not r.stable]
