@@ -488,13 +488,13 @@ _JSON_ROW = ",\n    ".join(f'"{name}": ' + {"k": "{k}", "service_mean_s": "{mean
 
 
 def _json_numbers(values: list) -> list:
-    """JSON cells of floats: json's own repr, with _json_value's strings for non-finite ones."""
+    """JSON cells of floats: json's own repr, _json_value's strings if the sum is not finite."""
     cells = list(map(float.__repr__, values))
     return cells if math.isfinite(sum(values)) else list(map(_JSON_NONFINITE.get, cells, cells))
 
 
 def sweep_csv(grid: GainGrid) -> str:
-    """``_csv`` text of a sweep, formatted column by column, one k-row at a time."""
+    """``_render`` CSV text of a sweep, formatted column by column, one k-row at a time."""
     c, number = grid.columns, "{:.12g}".format
     lam, lines = list(map(number, grid.lam_values)), [SWEEP_HEADER]
     for i, k in enumerate(grid.k_values):
