@@ -38,4 +38,3 @@ def test_sweep_calls_each_traced_grid_name_once_with_the_whole_grid(monkeypatch,
     assert cli.main([*sweep, "--format", "json"]) == 0
     assert cli.main(["gain", "--k", "4", "--lambda", "900"]) == 0
     assert sizes == {"gain_grid": [21, 21, 1], "sweep_csv": [21, 1], "sweep_json": [21]}
-    assert len(capsys.readouterr().out.splitlines()) == 22 + 21 * 11 + 2 + 2
