@@ -87,6 +87,14 @@ CASES = {
     "validate-unstable-csv": (
         "validate", "--mode", "standard", "--lambda", "3000", *SIM, "--format", "csv",
     ),
+    # One measured frame: NaN spreads and CIs inside nested JSON records.
+    "simulate-reps-one-frame-json": (
+        "simulate", "--lambda", "300", "--seed", "7", "--frames", "3", "--warmup", "2",
+        "--replications", "2",
+    ),
+    "validate-one-frame-json": (
+        "validate", "--lambda", "300", "--seed", "7", "--frames", "3", "--warmup", "2",
+    ),
     "dump-config-fig3": ("sweep", "--preset", "fig3", "--dump-config"),
     "dump-config-threshold": ("threshold", "--preset", "fig5-6", "--dump-config"),
     "dump-config-simulate": ("simulate", *AGG, "--dump-config"),
@@ -150,6 +158,8 @@ DIGESTS = {
     "validate-json": (0, "32b2930177bf5a337871c0ddedb4e719bbcb588965e230fad9372483687dc584"),
     "validate-unstable-csv": (0, "e10200fa0c5a080e253a7523f32b05976b648c19a7d8de84fa2e149bebfc1b9d"),
     "validate-unstable-json": (0, "d7d89c900e0e8cff9ad89f3a9d8aad59a066fa70566ccd20b056d91f0bd70348"),
+    "simulate-reps-one-frame-json": (0, "655ea5ef4a0f9432ca61dd52cd6d6c32702635031d4555a92e52d56986a98d9b"),
+    "validate-one-frame-json": (0, "bed0487a640866ca40e755066322f25d0f6afb4f1ba7c7dfb7a2a6d8a1bd22e1"),
     "dump-config-custom": (0, "ba9d5d7f0cb32d8f23e5016b01ef4f9c21c782c901047b8e47a06d2fbb155573"),
     "dump-config-custom-k4": (0, "ee620a97ad9a34c7bf5fbf68c4bbe9c64d5fd0d2a4c29555364e0f0f72bd552d"),
     "gain-custom": (0, "1af1ff8f1915d677bdbed2e95907a613dec7bfdceaf95cf0ac860dce83c3a00f"),
