@@ -41,16 +41,18 @@ def _require(condition: bool, message: str) -> None:
 
 
 def fmt(value) -> str:
-    """Deterministic CSV cell: 12 significant digits; a JSON null is nan."""
+    """Deterministic CSV cell: floats to 12 significant digits, booleans as true/false."""
     if isinstance(value, float):
         return f"{value:.12g}"  # also spells inf, -inf and nan
     if isinstance(value, bool):
         return "true" if value else "false"
-    return "nan" if value is None else str(value)
+    return str(value)
 
 
 def _json_value(value):
-    """Map non-finite floats to their CSV literals for strict JSON."""
+    """``value`` with non-finite floats, in nested dicts too, as their CSV literals."""
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
     if isinstance(value, float) and not math.isfinite(value):
         return fmt(value)
     return value
@@ -356,7 +358,7 @@ FLAGS = (
     ("--lambda", ("gain", "optimal-k", *SIM), dict(type=float, help="rate (pps)"), "lambda"),
     ("--lambda", ("sweep",), dict(type=_grid_or_rate, help="MIN:MAX:POINTS or a rate"), "lambda"),
     ("--grid-kind", ("sweep",), dict(choices=("linear", "geometric")), "lambda.kind"),
-    # --lambda-min, --lambda-max, --rel-tol, --max-iter, --scan-points
+    # --lambda-min, --lambda-max, --rel-tol
     *((f"--{key.replace('_', '-')}", ("threshold",), dict(type=kind), f"search.{key}")
       for key, (_, kind) in SCHEMA["search"].items()),
     ("--k-max", ("optimal-k",), dict(type=int), "k_max"),
@@ -451,7 +453,7 @@ def _config_from_args(command: str, args: argparse.Namespace) -> dict:
 
 # json.dumps(indent=2) writes in pure Python; for a list of flat records, json's C encoder
 # lays out each record's body the same way, faster, and _json_list lays out the list.
-_flat_json = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": ")).encode
+_flat_json = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": "), allow_nan=False).encode
 _JSON_SEP = "\n  },\n  {\n    "
 
 
@@ -465,12 +467,12 @@ def _render(records, out_format: str) -> str:
     if out_format == "csv":
         lines = [",".join(rows[0]), *(",".join(map(fmt, row.values())) for row in rows)]
         return "\n".join(lines) + "\n"
-    rows = [{key: _json_value(value) for key, value in row.items()} for row in rows]
+    rows = list(map(_json_value, rows))
     flat = rows and not any(isinstance(v, (dict, list, tuple)) for v in rows[0].values())
     if isinstance(records, list) and flat:
         return _json_list([_flat_json(row)[1:-1] for row in rows])
     data = rows[0] if isinstance(records, dict) else rows
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 SWEEP_HEADER = (
@@ -635,8 +637,8 @@ def _run_validate(rc: RunConfig) -> int:
         "form": report.form.value,
         "analytic_stable": report.analytic_stable,
         "analytic_system_time_s": report.analytic_system_time,
-        "sim_sojourn_mean_s": getattr(report.sim, "sojourn_mean", None),
-        "ci95_halfwidth_s": getattr(report.sim, "ci95_halfwidth", None),
+        "sim_sojourn_mean_s": getattr(report.sim, "sojourn_mean", math.nan),
+        "ci95_halfwidth_s": getattr(report.sim, "ci95_halfwidth", math.nan),
         "abs_deviation_s": report.abs_deviation,
         "rel_deviation": report.rel_deviation,
         "within_ci95": "" if report.within_ci95 is None else report.within_ci95,

@@ -251,21 +251,16 @@ def erlang_wait(k: int, lam: float) -> float:
     return (k - 1) / (2.0 * lam)
 
 
-def service_time(
-    k: int, phy: PhyProfile, traffic: TrafficSpec, backoff_mean: float | None = None
-) -> float:
+def service_time(k: int, phy: PhyProfile, traffic: TrafficSpec) -> float:
     """Mean service time of a k-frame aggregate:
 
         1/mu(k) = k*E[P]/bit_rate + gamma + mean backoff
 
-    with payloads in bits. ``backoff_mean`` defaults to the profile's own
-    backoff mean; pass a value to probe a different deferral time.
+    with payloads in bits. The mean backoff is the profile's:
+    ``backoff_override`` when set, else slot*cw/2.
     """
     _check_k(k)
-    m = _moments(phy, traffic)
-    if backoff_mean is not None:
-        m = m._replace(backoff_mean=backoff_mean)
-    return _service(k, m)[0]
+    return _service(k, _moments(phy, traffic))[0]
 
 
 def service_variance(k: int, phy: PhyProfile, traffic: TrafficSpec) -> float:

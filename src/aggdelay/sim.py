@@ -31,7 +31,6 @@ and service means are frame-weighted batch means, equal up to rounding.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -114,11 +113,6 @@ class SimConfig:
         return self.traffic.lambda_total
 
 
-def _defined(x: float) -> float | None:
-    """``x``, or None (JSON null) where it is undefined (NaN)."""
-    return None if math.isnan(x) else x
-
-
 @dataclass(frozen=True)
 class SimResult:
     """Measured sojourn statistics of one run.
@@ -155,23 +149,20 @@ class SimResult:
     interbatch_cv: float = math.nan
 
     def to_dict(self) -> dict:
-        """JSON-ready mapping; undefined (NaN) statistics become null."""
+        """The reported fields under their output names; undefined statistics stay NaN."""
         return {
             "frames_generated": self.frames_generated,
             "frames_measured": self.frames_measured,
             "warmup_excluded": self.warmup_excluded,
             "in_flight": self.in_flight,
-            "sojourn_mean_s": _defined(self.sojourn_mean),
-            "sojourn_stddev_s": _defined(self.sojourn_stddev),
-            "ci95_halfwidth_s": _defined(self.ci95_halfwidth),
-            "buffer_wait_mean_s": _defined(self.buffer_wait_mean),
-            "buffer_wait_ci95_s": _defined(self.buffer_wait_ci95),
-            "queue_wait_mean_s": _defined(self.queue_wait_mean),
-            "service_mean_s": _defined(self.service_mean),
+            "sojourn_mean_s": self.sojourn_mean,
+            "sojourn_stddev_s": self.sojourn_stddev,
+            "ci95_halfwidth_s": self.ci95_halfwidth,
+            "buffer_wait_mean_s": self.buffer_wait_mean,
+            "buffer_wait_ci95_s": self.buffer_wait_ci95,
+            "queue_wait_mean_s": self.queue_wait_mean,
+            "service_mean_s": self.service_mean,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(", ", ": "))
 
 
 def _sample_payloads(
@@ -417,19 +408,20 @@ class ValidationReport:
     interbatch_cv: float
 
     def to_dict(self) -> dict:
-        """JSON mapping: undefined (NaN) values become null, infinities stay floats."""
+        """The reported fields under their output names, ``sim`` nested; NaN and
+        infinities stay floats, and None marks a missing ``sim`` or ``within_ci95``."""
         return {
             "mode": self.mode.value,
             "k": self.k,
             "lambda_pps": self.lam,
             "form": self.form.value,
             "analytic_stable": self.analytic_stable,
-            "analytic_system_time_s": _defined(self.analytic_system_time),
+            "analytic_system_time_s": self.analytic_system_time,
             "sim": None if self.sim is None else self.sim.to_dict(),
-            "abs_deviation_s": _defined(self.abs_deviation),
-            "rel_deviation": _defined(self.rel_deviation),
+            "abs_deviation_s": self.abs_deviation,
+            "rel_deviation": self.rel_deviation,
             "within_ci95": self.within_ci95,
-            "interbatch_cv": _defined(self.interbatch_cv),
+            "interbatch_cv": self.interbatch_cv,
         }
 
 

@@ -30,16 +30,12 @@ class SearchParams:
     ``lambda_max=None`` defaults to 0.999 times the k=1 stability limit
     mu(1): past that point G is -inf by convention, so any sign change
     has already happened. ``rel_tol`` is the relative width of the
-    verified bracket. ``max_iter`` and ``scan_points`` are checked but
-    ignored: they configured the iterative search the closed form
-    replaced, and existing configs still carry them.
+    verified bracket.
     """
 
     lambda_min: float = 1.0
     lambda_max: float | None = None
     rel_tol: float = 1e-6
-    max_iter: int = 200
-    scan_points: int = 64
 
     def __post_init__(self) -> None:
         if not 0.0 < self.lambda_min < math.inf:
@@ -50,10 +46,6 @@ class SearchParams:
             raise ValueError("lambda_max must be finite and exceed lambda_min")
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError(f"rel_tol must be finite and in (0, 1), got {self.rel_tol!r}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.scan_points < 2:
-            raise ValueError("scan_points must be >= 2")
 
 
 @dataclass(frozen=True)

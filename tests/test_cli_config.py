@@ -21,8 +21,7 @@ FLAGS = {
     "profiles": {"--format", "--output"},
     "gain": COMMON_FLAGS | {"--k", "--lambda"},
     "sweep": COMMON_FLAGS | {"--k", "--lambda", "--grid-kind"},
-    "threshold": COMMON_FLAGS
-    | {"--k", "--lambda-min", "--lambda-max", "--rel-tol", "--max-iter", "--scan-points"},
+    "threshold": COMMON_FLAGS | {"--k", "--lambda-min", "--lambda-max", "--rel-tol"},
     "optimal-k": COMMON_FLAGS | {"--lambda", "--k-max"},
     "simulate": COMMON_FLAGS | SIM_FLAGS | {"--replications"},
     "validate": COMMON_FLAGS | SIM_FLAGS,
@@ -106,6 +105,23 @@ def test_config_file_sim_typo_names_the_key(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert out == ""
     assert "sim.frame" in err
+
+
+@pytest.mark.parametrize("key", ["max_iter", "scan_points"])
+def test_removed_search_keys_are_unknown(tmp_path, capsys, key):
+    path = config_file(tmp_path, {"search": {key: 10}})
+    code, out, err = run(capsys, "threshold", "--config", path, "--k", "5")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert f"search.{key}" in err
+
+
+@pytest.mark.parametrize("flag", ["--max-iter", "--scan-points"])
+def test_removed_search_flags_are_rejected(capsys, flag):
+    code, out, err = run(capsys, "threshold", "--k", "5", flag, "5")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert flag in err
 
 
 def test_rate_flag_on_custom_phy_is_rejected(tmp_path, capsys):

@@ -126,7 +126,7 @@ CUSTOM_PHY = {
 DIGESTS = {
     "dump-config-fig3": (0, "a17cac5a885687861218ebaeea9ad2949dd8b88103936f767412e25714e0f5e5"),
     "dump-config-simulate": (0, "35e830980ae817e7424a87f3189f6a58cfcf8de225504be95f24ecd59baf4526"),
-    "dump-config-threshold": (0, "102d7e8d05874d33981b96e8154c099de0f0006bb3f33d437a6a76c420f326ca"),
+    "dump-config-threshold": (0, "c94d87efb1b6c86f98685e25bd5697ba9ffafa9b333e48f83748b9edc3dd2441"),
     "gain-csv": (0, "f05a586f2913936b655b6bf35a02b309cb3aa7410833943d73b258324288b99d"),
     "gain-empirical-backoff": (0, "3a9980240eb222f498edeaf9aa05174ed1431bd7c66f74683480a78cb4bccd26"),
     "gain-json-g54-exp": (0, "a6d93639e5e3c8def0085b9e33ed3fd97bc99cfd6a87f52dc77f88e3602843ff"),
@@ -157,9 +157,9 @@ DIGESTS = {
     "validate-csv": (0, "38f0c4f6bd7781db0f9c54d07d480c2514ba36f90c4c76cefe8ce28302839218"),
     "validate-json": (0, "32b2930177bf5a337871c0ddedb4e719bbcb588965e230fad9372483687dc584"),
     "validate-unstable-csv": (0, "e10200fa0c5a080e253a7523f32b05976b648c19a7d8de84fa2e149bebfc1b9d"),
-    "validate-unstable-json": (0, "d7d89c900e0e8cff9ad89f3a9d8aad59a066fa70566ccd20b056d91f0bd70348"),
-    "simulate-reps-one-frame-json": (0, "655ea5ef4a0f9432ca61dd52cd6d6c32702635031d4555a92e52d56986a98d9b"),
-    "validate-one-frame-json": (0, "bed0487a640866ca40e755066322f25d0f6afb4f1ba7c7dfb7a2a6d8a1bd22e1"),
+    "validate-unstable-json": (0, "cef639f2f3764b8062750f201542d024e2dd6c6543bc3706e0397020a1b154ba"),
+    "simulate-reps-one-frame-json": (0, "1d25a2fcd09343b64a5f97b11c0152fc575f7954850e88ce7db0e940b15e2d2a"),
+    "validate-one-frame-json": (0, "91dc2428c4c874ac6c3d220459c9499d58907c77ecf2d75d0af8a83163991a70"),
     "dump-config-custom": (0, "ba9d5d7f0cb32d8f23e5016b01ef4f9c21c782c901047b8e47a06d2fbb155573"),
     "dump-config-custom-k4": (0, "ee620a97ad9a34c7bf5fbf68c4bbe9c64d5fd0d2a4c29555364e0f0f72bd552d"),
     "gain-custom": (0, "1af1ff8f1915d677bdbed2e95907a613dec7bfdceaf95cf0ac860dce83c3a00f"),
@@ -175,6 +175,33 @@ def _digest(capsys, argv) -> tuple[int, str]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(capsys, name):
     assert _digest(capsys, CASES[name]) == DIGESTS[name]
+
+
+def _writes_json(argv) -> bool:
+    csv = "csv" in argv or argv[0] not in ("simulate", "validate")
+    return "--dump-config" in argv or "json" in argv or not csv
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+@pytest.mark.parametrize("name", sorted(name for name, argv in CASES.items() if _writes_json(argv)))
+def test_json_output_is_strict(capsys, name):
+    main(list(CASES[name]))
+    out = capsys.readouterr().out
+    assert out[0] in "[{"
+    json.loads(out, parse_constant=_reject_constant)
+
+
+def test_undefined_statistics_in_nested_records_are_nan_strings(capsys):
+    main(list(CASES["simulate-reps-one-frame-json"]))
+    records = [item["result"] for item in json.loads(capsys.readouterr().out)]
+    main(list(CASES["validate-one-frame-json"]))
+    records.append(json.loads(capsys.readouterr().out)["sim"])
+    for record in records:
+        assert record["frames_measured"] == 1
+        assert record["sojourn_stddev_s"] == record["ci95_halfwidth_s"] == "nan"
 
 
 @pytest.mark.parametrize("extra", [(), ("--k", "4")], ids=["file", "flag-override"])

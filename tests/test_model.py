@@ -105,8 +105,9 @@ def test_erlang_wait_monotone_in_k_and_lambda():
 
 
 def test_service_time_examples(phy_b11, det800):
-    assert service_time(1, phy_b11, det800, 160e-6) == pytest.approx(SM1, rel=1e-12)
-    assert service_time(5, phy_b11, det800, 160e-6) == pytest.approx(SM5, rel=1e-12)
+    phy = replace(phy_b11, backoff_override=160e-6)
+    assert service_time(1, phy, det800) == pytest.approx(SM1, rel=1e-12)
+    assert service_time(5, phy, det800) == pytest.approx(SM5, rel=1e-12)
 
 
 def test_service_time_pure_payload():
@@ -120,16 +121,19 @@ def test_service_time_pure_payload():
         ack_bits=0,
     )
     traffic = TrafficSpec.deterministic(10.0, 1e6)  # E[P] = bit_rate * 1s
-    assert service_time(1, phy, traffic, 0.0) == pytest.approx(1.0, rel=1e-12)
+    assert service_time(1, replace(phy, backoff_override=0.0), traffic) == pytest.approx(
+        1.0, rel=1e-12
+    )
 
 
 def test_service_time_defaults_to_profile_backoff_mean(phy_b11, det800):
-    assert service_time(1, phy_b11, det800) == service_time(1, phy_b11, det800, 160e-6)
+    phy = replace(phy_b11, backoff_override=160e-6)
+    assert service_time(1, phy_b11, det800) == service_time(1, phy, det800)
 
 
 def test_service_time_domain_error(phy_b11, det800):
     with pytest.raises(ValueError):
-        service_time(0, phy_b11, det800, 0.0)
+        service_time(0, replace(phy_b11, backoff_override=0.0), det800)
 
 
 def test_service_variance_examples(det800):

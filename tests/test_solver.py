@@ -74,8 +74,6 @@ def test_lambda_threshold_domain_errors(phy_b11, det800):
         SearchParams(lambda_min=10.0, lambda_max=5.0)
     with pytest.raises(ValueError):
         SearchParams(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        SearchParams(scan_points=1)
     # stability limit below lambda_min -> empty effective range
     with pytest.raises(ValueError):
         lambda_threshold(
