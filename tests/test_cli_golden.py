@@ -178,8 +178,8 @@ def test_golden_output(capsys, name):
 
 
 def _writes_json(argv) -> bool:
-    csv = "csv" in argv or argv[0] not in ("simulate", "validate")
-    return "--dump-config" in argv or "json" in argv or not csv
+    sim_default = argv[0] in ("simulate", "validate") and "csv" not in argv
+    return "--dump-config" in argv or "json" in argv or sim_default
 
 
 def _reject_constant(token):

@@ -119,11 +119,10 @@ def test_service_time_pure_payload():
         mac_header_bits=0,
         crc_bits=0,
         ack_bits=0,
+        backoff_override=0.0,
     )
     traffic = TrafficSpec.deterministic(10.0, 1e6)  # E[P] = bit_rate * 1s
-    assert service_time(1, replace(phy, backoff_override=0.0), traffic) == pytest.approx(
-        1.0, rel=1e-12
-    )
+    assert service_time(1, phy, traffic) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_service_time_defaults_to_profile_backoff_mean(phy_b11, det800):
