@@ -14,24 +14,37 @@ independent oracle. ``validate_against_model`` quantifies the gap.
 
 Three named PRNG substreams (arrivals, payloads, backoffs) are derived
 from the one seed, so changing one distribution never perturbs the
-others' draws. Identical (config, seed) gives bit-identical results; a
-run is sequential, and independent runs share no state.
+others' draws. Identical (config, seed) gives bit-identical results, and
+independent runs share no state.
 
-A run is streamed in fixed blocks of 2^20 frames (whole batches): each
-block draws its share of the three substreams, continues the arrival
-cumsum and the closed-form Lindley scan from the previous block's
-carries, and folds its statistics into running (n, mean, M2) moments
-merged with Chan et al.'s pairwise update. Memory therefore stays flat
-whatever ``num_frames`` is. Every per-frame time is bitwise the one an
-all-at-once run computes, and a queue wait is exactly 0 at the start of
-a busy period. A one-block run reduces sojourn and buffer wait exactly as
+A run is streamed in fixed blocks of 2^20 frames (whole batches), each
+drawn in chunks of 2^16 frames: a chunk continues the arrival cumsum and
+the closed-form Lindley scan from the previous chunk's carries, and a
+block folds its statistics into running (n, mean, M2) moments merged with
+Chan et al.'s pairwise update. Memory therefore stays flat whatever
+``num_frames`` is. Every per-frame time is bitwise the one an all-at-once
+run computes, and a queue wait is exactly 0 at the start of a busy
+period. A one-block run reduces sojourn and buffer wait exactly as
 ``np.mean``/``np.std`` over the frame arrays do; the aggregated queue-wait
 and service means are frame-weighted batch means, equal up to rounding.
+
+A run of more than one block, in a process allowed at least two CPUs,
+draws its substreams on one helper thread, up to 8 chunks ahead into a
+ring of reused buffers, while the calling thread runs the cumsum, the
+scan and the block reductions; so block i+1 is drawn while block i is
+reduced. Each substream is still drawn by one thread in frame order, and
+a draw in chunks equals one whole draw value for value, so no output byte
+depends on the thread, the chunks or the CPU count. A one-block run stays
+on the calling thread: it has no later block to draw meanwhile. The
+helper ends with the call, whether it returns or raises.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -166,35 +179,139 @@ class SimResult:
 
 
 def _sample_payloads(
-    rng: np.random.Generator, traffic: TrafficSpec, n: int
+    rng: np.random.Generator, traffic: TrafficSpec, out: np.ndarray
 ) -> np.ndarray:
-    """n payload sizes in continuous bits, per the traffic family."""
+    """Fill ``out`` with payload sizes in continuous bits, per a random family.
+
+    The values are those of ``rng.exponential``, ``rng.uniform`` and
+    ``rng.choice``, drawn in place: the scaled standard draws and the
+    indexed integer draws are bitwise what those samplers return.
+    """
     fam = traffic.payload_family
-    if fam is PayloadFamily.DETERMINISTIC:
-        return np.full(n, traffic.payload_mean)
     if fam is PayloadFamily.EXPONENTIAL:
         # ziggurat draws: payloads have their own substream, so a variable
         # number of raw draws per value perturbs no other distribution
-        return rng.exponential(traffic.payload_mean, n)
-    if fam is PayloadFamily.UNIFORM_RANGE:
-        return rng.uniform(traffic.uniform_lo, traffic.uniform_hi, n)
-    values = np.asarray(traffic.empirical_values, dtype=float)
-    return rng.choice(values, size=n, replace=True)
+        rng.standard_exponential(out=out)
+        out *= traffic.payload_mean
+    elif fam is PayloadFamily.UNIFORM_RANGE:
+        rng.random(out=out)
+        out *= traffic.uniform_hi - traffic.uniform_lo
+        out += traffic.uniform_lo
+    else:
+        values = np.asarray(traffic.empirical_values, dtype=float)
+        np.take(values, rng.integers(0, values.size, out.size), out=out)
+    return out
 
 
 def _sample_backoffs(
-    rng: np.random.Generator, phy: PhyProfile, n: int
+    rng: np.random.Generator, phy: PhyProfile, n: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """n backoff times: slot * U{0,...,cw}, or the literal override."""
+    """n backoff times: slot * U{0,...,cw}, or the literal override; in ``out`` if given."""
+    if out is None:
+        out = np.empty(n)
     if phy.backoff_override is not None:
-        return np.full(n, phy.backoff_override)
+        out.fill(phy.backoff_override)
+        return out
     # int32 draws equal the int64 ones value for value, and cost half as much
     dtype = np.int32 if phy.cw < np.iinfo(np.int32).max else np.int64
-    return phy.slot * rng.integers(0, phy.cw + 1, size=n, dtype=dtype)
+    return np.multiply(rng.integers(0, phy.cw + 1, size=n, dtype=dtype), phy.slot, out=out)
+
+
+class _Draws:
+    """A run's three substreams, drawn a chunk of frames at a time.
+
+    ``fill(gaps, service)`` draws the next ``gaps.size`` frames'
+    inter-arrival times into ``gaps`` and the service times gamma + backoff
+    + payload/bit_rate of their whole batches into ``service``. Calls must
+    come one at a time and in frame order; then each substream is drawn in
+    order, and a draw in chunks equals one whole draw value for value, so
+    neither the chunk size nor the calling thread changes a value.
+    """
+
+    def __init__(self, config: SimConfig) -> None:
+        self.k = config.k
+        self.phy = config.phy
+        self.traffic = config.traffic
+        self.scale = 1.0 / config.arrival_rate
+        self.gamma = overhead_gamma(config.phy).gamma_total
+        self.arrivals = _substream(config.seed, "arrivals")
+        self.payloads = _substream(config.seed, "payloads")
+        self.backoffs = _substream(config.seed, "backoffs")
+        self.payload_time = None
+        if config.traffic.payload_family is PayloadFamily.DETERMINISTIC:
+            # one constant per batch: numpy's sum of a row of k payloads
+            row = np.full(self.k, config.traffic.payload_mean)
+            self.payload_time = float(row.sum()) / config.phy.bit_rate
+
+    def fill(self, gaps: np.ndarray, service: np.ndarray) -> None:
+        _sample_backoffs(self.backoffs, self.phy, service.size, out=service)
+        service += self.gamma
+        if self.payload_time is not None:
+            service += self.payload_time
+        else:  # payloads first, with ``gaps`` as their scratch
+            payloads = _sample_payloads(self.payloads, self.traffic, gaps)
+            if self.k > 1:
+                payloads = payloads[: service.size * self.k].reshape(-1, self.k).sum(axis=1)
+            payloads /= self.phy.bit_rate
+            service += payloads
+        self.arrivals.standard_exponential(out=gaps)
+        gaps *= self.scale  # bitwise rng.exponential(scale)
+
+
+def _drawn(draws: _Draws, pool, n: int, block: int, chunk: int, arrivals, service_times):
+    """Each chunk's draws, in frame order, for a run of ``n`` frames in blocks.
+
+    Yields the chunk's inter-arrival times and, when they were not drawn
+    into their place, its batch service times. Without a pool the calling
+    thread draws each chunk when asked, straight into its place in the
+    block's ``arrivals`` and ``service_times``. With one, the pool's thread
+    draws up to ``_AHEAD`` chunks ahead into a ring of reused buffers, so
+    that it can go on while the caller still reduces the block before; a
+    ring slot is refilled only once the caller has asked for the next chunk.
+    """
+    k = draws.k
+    places = (
+        (offset, min(chunk, size - offset))
+        for size in (min(block, n - first) for first in range(0, n, block))
+        for offset in range(0, size, chunk)
+    )
+    if pool is None:
+        for offset, size in places:
+            gaps = arrivals[offset : offset + size]
+            draws.fill(gaps, service_times[offset // k : (offset + size) // k])
+            yield gaps, None
+        return
+    ring_gaps = np.empty((_AHEAD + 1, chunk))
+    ring_service = np.empty((_AHEAD + 1, chunk // k))
+    pending = deque()
+    for i, (_, size) in enumerate(places):
+        slot = i % (_AHEAD + 1)
+        drawn = ring_gaps[slot, :size], ring_service[slot, : size // k]
+        pending.append((pool.submit(draws.fill, *drawn), drawn))
+        if len(pending) > _AHEAD:
+            future, drawn = pending.popleft()
+            future.result()
+            yield drawn
+    for future, drawn in pending:
+        future.result()
+        yield drawn
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
 
 
 def _fifo_waits(
-    ready: np.ndarray, service: np.ndarray, s0: float, m0: float
+    ready: np.ndarray,
+    service: np.ndarray,
+    s0: float,
+    m0: float,
+    out: np.ndarray | None = None,
+    pre: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, float]:
     """Queue waits of a FIFO single server fed jobs in index order.
 
@@ -202,18 +319,22 @@ def _fifo_waits(
     (ready_i - ready_{i-1}), 0): with S the service prefix sums and
     pre_i = ready_i - S_{i-1}, the wait is peak_i - pre_i where peak_i =
     max_{j<=i} pre_j. It is exactly 0 at the start of a busy period and
-    never negative. A run in blocks continues both scans from the earlier
+    never negative. A run in pieces continues both scans from the earlier
     jobs' service sum ``s0`` (0 at the start) and running maximum ``m0``
     (-inf), which keeps every wait bitwise equal to the whole-run scan.
-    Returns the waits and the carries for the next block.
+    Returns the waits (in ``out`` if given; ``pre`` is scratch) and the
+    carries for the next piece. ``fmax`` is the faster running maximum;
+    ``pre`` holds no NaN, as every input is finite.
     """
-    pre = np.empty_like(service)  # S_{i-1}, then ready_i - S_{i-1}
+    if pre is None:
+        pre = np.empty_like(service)
+    # S_{i-1}, then ready_i - S_{i-1}
     pre[0] = s0
     pre[1:] = service[:-1]
     np.cumsum(pre, out=pre)
     s_sum = float(pre[-1] + service[-1])
     np.subtract(ready, pre, out=pre)
-    peak = np.maximum.accumulate(pre)
+    peak = np.fmax.accumulate(pre, out=out)
     np.maximum(peak, m0, out=peak)
     m_peak = float(peak[-1])
     peak -= pre
@@ -279,6 +400,11 @@ class _Moments:
 #: blocks rounds differently, so it is fixed: output bytes stay a function
 #: of (config, seed) alone.
 _BLOCK_FRAMES = 1 << 20
+#: Frames per draw, rounded down to whole batches (at least one, at most a
+#: block). A block's values do not depend on how its draws are chunked.
+_CHUNK_FRAMES = 1 << 16
+#: Chunks a helper thread may draw ahead of the scan.
+_AHEAD = 8
 
 
 def simulate(config: SimConfig) -> SimResult:
@@ -289,80 +415,99 @@ def simulate(config: SimConfig) -> SimResult:
     In aggregated mode a trailing partial batch never completes and is
     reported as in-flight.
 
-    The run is walked in blocks of whole batches. Only the last arrival
-    and batch-formation times, the Lindley scan's service sum and running
-    maximum, and the running moments cross a block boundary, so memory
-    does not grow with ``num_frames``. Queue-wait and service means are
-    taken over batches, each weighted by its measured frames.
+    The run is walked in blocks of whole batches, and each block in chunks
+    of whole batches. Only the last arrival and batch-formation times, the
+    Lindley scan's service sum and running maximum, and the running
+    moments cross a chunk or block boundary, so memory does not grow with
+    ``num_frames``. Queue-wait and service means are taken over batches,
+    each weighted by its measured frames. A run of more than one block
+    draws on a helper thread when two CPUs are usable (module docstring).
     """
     aggregated = config.mode is SimMode.AGGREGATED
     k = config.k
     n = config.num_frames
     warmup = config.warmup_frames
     block = k * max(1, _BLOCK_FRAMES // k)
-    scale = 1.0 / config.arrival_rate
-    gamma = overhead_gamma(config.phy).gamma_total
-    bit_rate = config.phy.bit_rate
-    rng_arrivals = _substream(config.seed, "arrivals")
-    rng_payloads = _substream(config.seed, "payloads")
-    rng_backoffs = _substream(config.seed, "backoffs")
+    chunk = min(block, k * max(1, _CHUNK_FRAMES // k))
+    threaded = n > block and _usable_cpus() > 1
+    draws = _Draws(config)
+
+    # Reused by every block: arrival times, batch service times and queue
+    # waits, and scratch for the Lindley scan, then the gaps between
+    # batches, then (aggregated mode) the frames' buffer waits and sojourns.
+    arrivals = np.empty(min(block, n))
+    service_times = np.empty(arrivals.size // k)
+    waits = np.empty_like(service_times)
+    scratch = np.empty_like(arrivals)
 
     sojourn, buffer_wait, queue_wait, service = (_Moments() for _ in range(4))
     gaps = _Moments()  # between consecutive batch formations (all batches)
-    # Carried between blocks: the last arrival and batch-formation times,
+    # Carried between chunks: the last arrival and batch-formation times,
     # and the service prefix sum and running maximum of the Lindley scan.
     last_arrival = 0.0
     last_mark = math.nan
     s_sum, s_peak = 0.0, -math.inf
     completed = 0
-    for first in range(0, n, block):
-        size = min(block, n - first)
-        arrivals = rng_arrivals.exponential(scale, size=size)
-        arrivals[0] += last_arrival  # bitwise the whole-run cumsum
-        np.cumsum(arrivals, out=arrivals)
-        last_arrival = float(arrivals[-1])
-        payloads = _sample_payloads(rng_payloads, config.traffic, size)
+    if threaded:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging: not at import
 
-        n_batches = size // k
-        done = n_batches * k
-        if n_batches == 0:
-            continue  # only a trailing partial batch: all in flight
-        completed += done
-        if aggregated:
-            ready = arrivals[k - 1 : done : k]  # k-th arrival forms the batch
-            frame_scratch = payloads  # reused for buffer waits and sojourns
-            payloads = payloads[:done].reshape(n_batches, k).sum(axis=1)
-        else:
-            ready = arrivals
-        # gamma + backoff + payload/bit_rate, in place
-        batch_service = _sample_backoffs(rng_backoffs, config.phy, n_batches)
-        batch_service += gamma
-        payloads /= bit_rate
-        batch_service += payloads
-        del payloads
+        helper = ThreadPoolExecutor(1)
+    else:
+        helper = nullcontext()
+    with helper as pool:
+        drawn = _drawn(draws, pool, n, block, chunk, arrivals, service_times)
+        for first in range(0, n, block):
+            size = min(block, n - first)
+            for offset in range(0, size, chunk):
+                inter, ring_service = next(drawn)
+                times = arrivals[offset : offset + inter.size]
+                b = offset // k
+                nb = inter.size // k
+                batch_service = service_times[b : b + nb]
+                if ring_service is not None:
+                    batch_service[:] = ring_service
+                inter[0] += last_arrival  # bitwise the whole-run cumsum
+                np.cumsum(inter, out=times)
+                last_arrival = float(times[-1])
+                if nb == 0:
+                    continue  # only a trailing partial batch
+                ready = times[k - 1 :: k]  # k-th arrival forms the batch
+                _, s_sum, s_peak = _fifo_waits(
+                    ready, batch_service, s_sum, s_peak,
+                    out=waits[b : b + nb], pre=scratch[b : b + nb],
+                )
 
-        gaps.add(np.diff(ready, prepend=last_mark) if first else np.diff(ready))
-        last_mark = float(ready[-1])
-        batch_wait, s_sum, s_peak = _fifo_waits(ready, batch_service, s_sum, s_peak)
-
-        lo = min(max(warmup - first, 0), done)
-        if lo == done:
-            continue  # the whole block is warmup
-        b0, cut = divmod(lo, k)  # a warmup cut inside batch b0 leaves k - cut frames
-        queue_wait.add_mean(batch_wait[b0:], k, cut)
-        service.add_mean(batch_service[b0:], k, cut)
-        if aggregated:
-            frames = arrivals[b0 * k : done].reshape(-1, k)
-            times = frame_scratch[b0 * k : done]  # buffer waits, then sojourns
-            np.subtract(ready[b0:, None], frames, out=times.reshape(frames.shape))
-            buffer_wait.add(times[cut:])
-            ends = ready[b0:] + batch_wait[b0:]
-            ends += batch_service[b0:]
-            np.subtract(ends[:, None], frames, out=times.reshape(frames.shape))
-            sojourn.add(times[cut:])
-        else:
-            batch_wait += batch_service  # waits become sojourns in place
-            sojourn.add(batch_wait[lo:])
+            n_batches = size // k
+            done = n_batches * k
+            if n_batches == 0:
+                continue  # only a trailing partial batch: all in flight
+            completed += done
+            ready = arrivals[k - 1 : done : k]
+            scratch[0] = ready[0] - last_mark  # NaN before the first batch
+            np.subtract(ready[1:], ready[:-1], out=scratch[1:n_batches])
+            last_mark = float(ready[-1])
+            gaps.add(scratch[1 if first == 0 else 0 : n_batches])
+            lo = min(max(warmup - first, 0), done)
+            if lo == done:
+                continue  # the whole block is warmup
+            b0, cut = divmod(lo, k)  # a warmup cut inside batch b0 leaves k - cut frames
+            batch_wait = waits[b0:n_batches]
+            batch_service = service_times[b0:n_batches]
+            queue_wait.add_mean(batch_wait, k, cut)
+            service.add_mean(batch_service, k, cut)
+            if aggregated:
+                ready = ready[b0:]
+                frames = arrivals[b0 * k : done].reshape(-1, k)
+                times = scratch[b0 * k : done]  # buffer waits, then sojourns
+                np.subtract(ready[:, None], frames, out=times.reshape(frames.shape))
+                buffer_wait.add(times[cut:])
+                batch_wait += ready  # waits become completion times in place
+                batch_wait += batch_service
+                np.subtract(batch_wait[:, None], frames, out=times.reshape(frames.shape))
+                sojourn.add(times[cut:])
+            else:
+                batch_wait += batch_service  # waits become sojourns in place
+                sojourn.add(batch_wait)
 
     warmup_excluded = min(warmup, completed)
     if not aggregated:

@@ -1,0 +1,254 @@
+"""Chunked draws and the helper thread of the simulator.
+
+A run draws its three substreams a chunk at a time, and a run of more than
+one block draws them on a helper thread when two CPUs are usable. These
+tests pin that chunked draws equal one whole draw with numpy's own
+samplers, that the thread changes no result, and that no thread outlives
+a call, whether it returns or raises.
+"""
+
+import hashlib
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from aggdelay import PayloadFamily, SimConfig, SimMode, TrafficSpec, overhead_gamma, simulate
+import aggdelay.sim as sim_module
+from aggdelay.cli import EXIT_SIM, _render, main
+from aggdelay.phy import profile_for
+from conftest import custom_profile
+
+FAMILIES = [
+    TrafficSpec.deterministic(1000.0, 801.3),
+    TrafficSpec.exponential(1000.0, 800.0),
+    TrafficSpec.uniform_range(1000.0, 400.0, 1200.0),
+    TrafficSpec.empirical(1000.0, [640.0, 800.0, 960.0, 12000.0]),
+]
+MODES = [(SimMode.STANDARD, 1), (SimMode.AGGREGATED, 7)]
+
+
+def _family_id(traffic):
+    return traffic.payload_family.value
+
+
+def _whole_draws(config, n):
+    """The first n frames' inter-arrival times and their whole batches'
+    service times, each substream drawn at once by numpy's own sampler."""
+    k, phy, traffic = config.k, config.phy, config.traffic
+    n_batches = n // k
+    gaps = sim_module._substream(config.seed, "arrivals").exponential(
+        1.0 / config.arrival_rate, n
+    )
+    rng = sim_module._substream(config.seed, "payloads")
+    family = traffic.payload_family
+    if family is PayloadFamily.DETERMINISTIC:
+        payloads = np.full(n, traffic.payload_mean)
+    elif family is PayloadFamily.EXPONENTIAL:
+        payloads = rng.exponential(traffic.payload_mean, n)
+    elif family is PayloadFamily.UNIFORM_RANGE:
+        payloads = rng.uniform(traffic.uniform_lo, traffic.uniform_hi, n)
+    else:
+        payloads = rng.choice(np.asarray(traffic.empirical_values), size=n, replace=True)
+    if phy.backoff_override is not None:
+        service = np.full(n_batches, phy.backoff_override)
+    else:
+        backoffs = sim_module._substream(config.seed, "backoffs")
+        service = phy.slot * backoffs.integers(0, phy.cw + 1, n_batches)
+    service += overhead_gamma(phy).gamma_total
+    service += payloads[: n_batches * k].reshape(n_batches, k).sum(axis=1) / phy.bit_rate
+    return gaps, service
+
+
+@pytest.mark.parametrize(
+    "phy",
+    [custom_profile(), custom_profile(backoff_override=20e-6), custom_profile(cw=2**31)],
+    ids=["cw16", "override", "cw2^31"],
+)
+@pytest.mark.parametrize("traffic", FAMILIES, ids=_family_id)
+@pytest.mark.parametrize("mode, k", MODES)
+def test_chunked_draws_equal_one_whole_draw(phy, traffic, mode, k):
+    # Uneven chunks of whole batches, the last one ending in a partial batch.
+    config = SimConfig(mode=mode, phy=phy, traffic=traffic, seed=61, num_frames=10, k=k)
+    chunks = [k * m for m in (1, 13, 250, 2, 97)] + [k * 40 + (3 if k > 1 else 1)]
+    n = sum(chunks)
+    gaps, service = np.empty(n), np.empty(n // k)
+    draws = sim_module._Draws(config)
+    offset = 0
+    for size in chunks:
+        draws.fill(gaps[offset : offset + size], service[offset // k : (offset + size) // k])
+        offset += size
+    want_gaps, want_service = _whole_draws(config, n)
+    assert np.array_equal(gaps, want_gaps)
+    assert np.array_equal(service, want_service)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 7, 20, 150, 1500])
+def test_deterministic_payload_time_is_the_sum_of_a_batch_of_frames(k):
+    # One constant per batch equals the frame-sized form: k payloads summed
+    # per batch by numpy, then divided by the bit rate.
+    mode = SimMode.STANDARD if k == 1 else SimMode.AGGREGATED
+    traffic = TrafficSpec.deterministic(100.0, 801.3)
+    config = SimConfig(mode=mode, phy=custom_profile(), traffic=traffic, seed=1, num_frames=k, k=k)
+    frames = np.full(3 * k, traffic.payload_mean)
+    per_batch = frames.reshape(3, k).sum(axis=1) / config.phy.bit_rate
+    assert (per_batch == sim_module._Draws(config).payload_time).all()
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Every thread started during the test."""
+    threads = []
+    start = threading.Thread.start
+
+    def record(thread):
+        threads.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    return threads
+
+
+def _small_blocks(monkeypatch, cpus=2):
+    """Blocks of 3000 frames in chunks of 700, on a given CPU count."""
+    monkeypatch.setattr(sim_module, "_BLOCK_FRAMES", 3000)
+    monkeypatch.setattr(sim_module, "_CHUNK_FRAMES", 700)
+    monkeypatch.setattr(sim_module, "_usable_cpus", lambda: cpus)
+
+
+@pytest.mark.parametrize("traffic", FAMILIES, ids=_family_id)
+@pytest.mark.parametrize("mode, k", MODES)
+def test_helper_thread_and_chunks_change_no_result(monkeypatch, phy_b11, traffic, mode, k, started):
+    config = SimConfig(
+        mode=mode, phy=phy_b11, traffic=traffic, seed=29, num_frames=20_003,
+        warmup_frames=4_001, k=k,
+    )
+    _small_blocks(monkeypatch)
+    threaded = simulate(config)
+    assert len(started) == 1
+    monkeypatch.setattr(sim_module, "_usable_cpus", lambda: 1)
+    alone = simulate(config)
+    monkeypatch.setattr(sim_module, "_CHUNK_FRAMES", 1 << 16)  # one chunk per block
+    assert threaded == alone == simulate(config)
+    assert len(started) == 1
+
+
+def test_concurrent_threaded_runs_under_fast_thread_switching(monkeypatch, phy_b11, exp800):
+    # Four callers, each with its own helper (more threads than CPUs), hand
+    # off 64-frame chunks while the interpreter switches threads often.
+    monkeypatch.setattr(sim_module, "_BLOCK_FRAMES", 1024)
+    monkeypatch.setattr(sim_module, "_CHUNK_FRAMES", 64)
+    monkeypatch.setattr(sim_module, "_usable_cpus", lambda: 2)
+    configs = [
+        SimConfig(mode=SimMode.AGGREGATED, phy=phy_b11, traffic=exp800, seed=s, num_frames=12_001, k=3)
+        for s in range(4)
+    ]
+    results = [None] * len(configs)
+
+    def run(i):
+        results[i] = simulate(configs[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=run, args=(i,)) for i in range(len(configs))]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    monkeypatch.setattr(sim_module, "_usable_cpus", lambda: 1)
+    assert results == [simulate(config) for config in configs]
+
+
+def test_no_thread_outlives_a_run(monkeypatch, phy_b11, exp800, started):
+    _small_blocks(monkeypatch)
+    before = threading.active_count()
+    config = SimConfig(mode=SimMode.STANDARD, phy=phy_b11, traffic=exp800, seed=4, num_frames=20_000)
+    simulate(config)
+    assert len(started) == 1
+    assert threading.active_count() == before
+
+
+def test_a_failing_draw_ends_the_run_and_its_thread(monkeypatch, phy_b11, exp800, started):
+    _small_blocks(monkeypatch)
+    sample = sim_module._sample_payloads
+    calls = []
+
+    def fail_second_call(*args):
+        calls.append(threading.current_thread())
+        if len(calls) == 2:
+            raise RuntimeError("draw failed")
+        return sample(*args)
+
+    monkeypatch.setattr(sim_module, "_sample_payloads", fail_second_call)
+    before = threading.active_count()
+    config = SimConfig(mode=SimMode.STANDARD, phy=phy_b11, traffic=exp800, seed=4, num_frames=20_000)
+    with pytest.raises(RuntimeError, match="draw failed"):
+        simulate(config)
+    assert calls[1] is started[0]  # it failed on the helper thread
+    assert threading.active_count() == before
+
+    calls.clear()
+    argv = [
+        "simulate", "--lambda", "300", "--payload-family", "exponential",
+        "--payload-mean-bits", "800", "--seed", "4", "--frames", "20000",
+    ]
+    assert main(argv) == EXIT_SIM
+    assert len(started) == 2
+    assert threading.active_count() == before
+
+
+def test_a_one_block_run_or_a_single_cpu_starts_no_thread(monkeypatch, phy_b11, exp800, started):
+    config = SimConfig(mode=SimMode.STANDARD, phy=phy_b11, traffic=exp800, seed=4, num_frames=50_000)
+    monkeypatch.setattr(sim_module, "_usable_cpus", lambda: 2)
+    simulate(config)  # one default block
+    _small_blocks(monkeypatch, cpus=1)
+    simulate(config)  # 17 blocks, one CPU
+    assert started == []
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    # concurrent.futures loads logging: only a threaded run imports it
+    package_root = str(Path(sim_module.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {package_root!r}); import aggdelay.cli; "
+        "print('concurrent.futures' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+_B11 = profile_for("b", 11e6)
+# Runs longer than one block (threaded wherever two CPUs are usable), with
+# the digests of their results from the single-threaded simulator.
+MULTI_BLOCK = {
+    "standard-exponential": (
+        SimConfig(SimMode.STANDARD, _B11, TrafficSpec.exponential(1146.0, 800.0), 2024, 2_500_000, 10_000),
+        "17c64d5777d693603579f758c38575e827dddd9136d90ae68c0af83a4f2724cd",
+    ),
+    "aggregated-uniform": (
+        SimConfig(
+            SimMode.AGGREGATED, _B11, TrafficSpec.uniform_range(3000.0, 400.0, 1200.0),
+            2025, 2_200_003, 10_003, k=7,
+        ),
+        "1ffc7ba50d5b37a2e81b5672a526efea864b68aefbd903cd7c917c8899121681",
+    ),
+    "aggregated-deterministic": (
+        SimConfig(SimMode.AGGREGATED, _B11, TrafficSpec.deterministic(2500.0, 801.3), 2026, 2_100_000, 5_000, k=5),
+        "50dda7d7076f71edc9e85e1bcf0dda9421703fba3a2c3f6edd63e643f779652e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MULTI_BLOCK)
+def test_multi_block_runs_keep_their_bytes(name):
+    config, digest = MULTI_BLOCK[name]
+    result = simulate(config)
+    text = _render(result.to_dict(), "json") + repr(result.interbatch_cv)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
