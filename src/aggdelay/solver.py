@@ -23,6 +23,9 @@ from .model import _DEFAULT_FORM, _Chain, _chain, _check_k, _check_lambda, _mome
 from .phy import PhyProfile
 
 
+OPTIMAL_K_CHUNK = 2**16  # batch sizes optimal_k evaluates per kernel call: bounds its memory
+
+
 @dataclass(frozen=True)
 class SearchParams:
     """Search range and tolerance of :func:`lambda_threshold`.
@@ -166,15 +169,24 @@ def optimal_k(
 
     Ties break toward smaller k. If no batch size yields a stable queue,
     returns k_max with its (unstable) metrics so the caller sees the flag.
+    The kernel runs on ``OPTIMAL_K_CHUNK`` batch sizes at a time, so memory
+    stays bounded however large k_max is.
     """
     if not isinstance(k_max, int) or k_max < 1:
         raise ValueError(f"k_max must be an integer >= 1, got {k_max!r}")
     _check_lambda(lam)
-    values = _chain(np.arange(1.0, k_max + 1.0), np.float64(lam), _moments(phy, traffic), form)
-    total = values.system_time
-    finite = np.isfinite(total)
-    best = int(np.argmin(np.where(finite, total, np.inf))) if finite.any() else k_max - 1
-    return best + 1, QueueMetrics(best + 1, float(lam), *(value[best].item() for value in values))
+    m, lam_64, best, best_total = _moments(phy, traffic), np.float64(lam), None, math.inf
+    for start in range(1, k_max + 1, OPTIMAL_K_CHUNK):
+        k = np.arange(float(start), min(start + OPTIMAL_K_CHUNK, k_max + 1.0))
+        values = _chain(k, lam_64, m, form)
+        total = np.where(np.isfinite(values.system_time), values.system_time, np.inf)
+        i = int(np.argmin(total))
+        if total[i] == math.inf:
+            i = len(total) - 1  # no stable k here: the last one, which is k_max if none is
+        if total[i] < best_total or best_total == math.inf:  # strictly: ties keep the smaller k
+            best, best_total = (start + i, [value[i].item() for value in values]), total[i]
+        del k, values, total  # free this chunk before the next is computed
+    return best[0], QueueMetrics(best[0], float(lam), *best[1])
 
 
 class GainGrid(Sequence):

@@ -1,15 +1,19 @@
 """CLI contract: subcommands, exit codes, CSV/JSON determinism, config
 round-trip."""
 
+import argparse
 import json
+from collections import Counter
 
 import pytest
 
 from aggdelay.cli import (
+    COMMANDS,
     EXIT_CONFIG,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     SWEEP_HEADER,
+    build_parser,
     dump_run_config,
     main,
     parse_run_config,
@@ -147,6 +151,63 @@ def test_missing_required_value_exits_2(capsys):
 
 def test_no_subcommand_exits_2(capsys):
     assert main([]) == EXIT_CONFIG
+
+
+# Every subcommand, argparse's error and help exits, and flags that must not outlive
+# their call (a payload form, a search bound, a dump) followed by calls without them.
+REUSE_SEQUENCE = (
+    ("profiles",),
+    ("profiles", "--format", "json"),
+    ("gain", "--k", "5", "--lambda", "1000"),
+    ("sweep", "--k", "2..3", "--lambda", "100:1000:4", "--format", "json"),
+    ("threshold", "--preset", "fig4-11", "--k", "2,5", "--lambda-max", "900"),
+    ("threshold", "--preset", "fig4-11", "--k", "2,5"),
+    ("optimal-k", "--lambda", "1500", "--k-max", "10"),
+    ("optimal-k", "--lambda", "1500", "--k-max", "10", "--dump-config"),
+    ("simulate", "--lambda", "300", "--frames", "3000", "--payload-uniform", "400:1200"),
+    ("simulate", "--lambda", "300", "--frames", "3000"),
+    ("validate", "--lambda", "300", "--frames", "3000", "--format", "csv"),
+    ("gain", "--bogus", "1"),
+    ("sweep", "--k", "2", "--lambda", "1:2:x"),
+    ("simulate", "--seed", "one"),
+    ("threshold", "--help"),
+    ("validate", "--help"),
+    ("--help",),
+    ("frobnicate",),
+    (),
+)
+
+
+def test_main_reuses_one_parser_per_subcommand_without_leaking_state(capsys, monkeypatch):
+    built, init = Counter(), argparse.ArgumentParser.__init__
+
+    def counting_init(parser, *args, **kwargs):
+        built[kwargs.get("prog")] += 1
+        init(parser, *args, **kwargs)
+
+    def calls():
+        return [run(capsys, *argv) for argv in REUSE_SEQUENCE]
+
+    build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    first = calls()
+    top_level = built["aggdelay"]
+    again = calls()
+    fresh = []
+    for argv in REUSE_SEQUENCE:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    build_parser.cache_clear()
+
+    assert first == again == fresh
+    codes = [code for code, _, _ in first]
+    assert codes[:11] == [EXIT_OK] * 4 + [EXIT_NO_CONVERGENCE] + [EXIT_OK] * 6
+    assert codes[11:14] == [EXIT_CONFIG] * 3
+    assert codes[14:] == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_CONFIG, EXIT_CONFIG]
+    assert first[8][1] != first[9][1] and first[4][1] != first[5][1]
+    # One top-level parser per distinct subcommand, or none named: none built on the rerun.
+    assert top_level == len(set(COMMANDS) | {None}) == 8
+    assert built["aggdelay"] == top_level + len(REUSE_SEQUENCE)  # the fresh pass, one each
 
 
 def test_mutually_exclusive_payload_means_exit_2(capsys):

@@ -7,8 +7,12 @@ G(5, 1400) = +58.3 us and G(5, 1410) = -44.2 us.
 
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
+
+from aggdelay import solver
 
 from aggdelay import (
     PKForm,
@@ -151,6 +155,64 @@ def test_optimal_k_matches_bruteforce_on_random_configs():
         else:
             assert k_best == brute[0]
             assert metrics.system_time == brute[1]
+
+
+def _whole_array_optimal_k(lam, phy, traffic, form, k_max):
+    """optimal_k as one kernel call over all of 1..k_max (the unchunked reference)."""
+    values = solver._chain(np.arange(1.0, k_max + 1.0), np.float64(lam),
+                           solver._moments(phy, traffic), form)
+    total = values.system_time
+    finite = np.isfinite(total)
+    best = int(np.argmin(np.where(finite, total, np.inf))) if finite.any() else k_max - 1
+    return best + 1, QueueMetrics(best + 1, float(lam), *(value[best].item() for value in values))
+
+
+def test_chunked_optimal_k_equals_the_whole_array_argmin_on_random_profiles(monkeypatch):
+    rng = random.Random(1313)
+    monkeypatch.setattr(solver, "OPTIMAL_K_CHUNK", 7)
+    for _ in range(80):
+        phy = custom_profile(bit_rate=rng.uniform(1e6, 6e7), slot=rng.uniform(5e-6, 3e-5),
+                             cw=rng.randint(0, 64))
+        traffic = TrafficSpec.exponential(rng.uniform(10.0, 4000.0), rng.uniform(100.0, 8000.0))
+        form = rng.choice(list(PKForm))
+        k_max = rng.randint(1, 40)
+        lam = traffic.lambda_total * rng.choice([1.0, 3.0, 30.0])
+        expected = _whole_array_optimal_k(lam, phy, traffic, form, k_max)
+        assert repr(optimal_k(lam, phy, traffic, form, k_max)) == repr(expected)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, 64])
+def test_chunked_optimal_k_keeps_ties_and_the_all_unstable_fallback(monkeypatch, chunk):
+    """system_time drawn from a few values, ties and inf/NaN among them, so ties fall on
+    both sides of chunk boundaries; the argmin must be the whole array's."""
+    rng = random.Random(chunk)
+    chain, phy, traffic = solver._chain, custom_profile(), TrafficSpec.deterministic(500.0, 800.0)
+    monkeypatch.setattr(solver, "OPTIMAL_K_CHUNK", chunk)
+    for _ in range(60):
+        k_max = rng.randint(1, 24)
+        levels = rng.choice([[1.0, 2.0, math.inf], [math.inf, math.nan], [3.0], [2.0, math.nan]])
+        profile = np.array([rng.choice(levels) for _ in range(k_max)])
+        monkeypatch.setattr(solver, "_chain", lambda k, *args: chain(k, *args)._replace(
+            system_time=profile[k.astype(int) - 1]))
+        got = optimal_k(500.0, phy, traffic, k_max=k_max)
+        expected = _whole_array_optimal_k(500.0, phy, traffic, solver._DEFAULT_FORM, k_max)
+        assert repr(got) == repr(expected)
+        finite = [k for k in range(1, k_max + 1) if math.isfinite(profile[k - 1])]
+        assert got[0] == (min(finite, key=lambda k: profile[k - 1]) if finite else k_max)
+
+
+def test_optimal_k_memory_stays_bounded_at_large_k_max(phy_b11, det800):
+    k_max = 3 * solver.OPTIMAL_K_CHUNK + 5
+    assert optimal_k(800.0, phy_b11, det800, k_max=k_max) == _whole_array_optimal_k(
+        800.0, phy_b11, det800, PKForm.DETERMINISTIC_SERVICE, k_max)
+    tracemalloc.start()
+    try:
+        k_best, metrics = optimal_k(800.0, phy_b11, det800, k_max=2_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (k_best, metrics) == optimal_k(800.0, phy_b11, det800, k_max=20)
+    assert peak < 8e6  # one chunk's columns; the whole array took about 160 MB
 
 
 def test_gain_grid_row_major_order(phy_b11, det800):
