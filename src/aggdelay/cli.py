@@ -457,50 +457,14 @@ def _config_from_args(command: str, args: argparse.Namespace) -> dict:
     return _merge(cfg, flags)
 
 
-# json.dumps(indent=2) writes in pure Python. json's C encoder, with an item separator
-# that ends in one level's indent, lays out that level's flat items the same way, faster.
-_SCALARS = {str, int, float, bool, type(None)}
+# json.dumps(indent=2) writes in pure Python; for a list of flat records, json's C encoder
+# lays out each record's body the same way, faster, and _json_list lays out the list.
+_flat_json = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": "), allow_nan=False).encode
 _JSON_SEP = "\n  },\n  {\n    "
-
-
-@cache
-def _level_json(level: int):
-    """The C encoder's encode for the items of one nesting level."""
-    separators = (",\n" + "  " * level, ": ")
-    return json.JSONEncoder(sort_keys=True, separators=separators, allow_nan=False).encode
 
 
 def _json_list(items: list) -> str:
     return "[\n  {\n    " + _JSON_SEP.join(items) + "\n  }\n]\n"
-
-
-def _json_text(value, level: int = 1) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`` for ``value`` at
-    nesting ``level``, dict keys being strings. Each run of items that holds no non-empty
-    dict or list goes through the C encoder in one call; the others recurse."""
-    encode = _level_json(level)
-    if not isinstance(value, (dict, list, tuple)) or not value:
-        return encode(value)
-    is_dict = isinstance(value, dict)
-    indent = "\n" + "  " * level
-    brackets = "{}" if is_dict else "[]"
-    if _SCALARS.issuperset(map(type, value.values() if is_dict else value)):
-        return brackets[0] + indent + encode(value)[1:-1] + indent[:-2] + brackets[1]
-    parts, run = [], []
-    for item in sorted(value.items()) if is_dict else value:
-        inner = item[1] if is_dict else item
-        if isinstance(inner, (dict, list, tuple)) and inner:
-            if run:
-                parts.append(encode(dict(run) if is_dict else run)[1:-1])
-                run = []
-            text = _json_text(inner, level + 1)
-            parts.append(f"{json.encoder.encode_basestring_ascii(item[0])}: {text}" if is_dict
-                         else text)
-        else:
-            run.append(item)
-    if run:
-        parts.append(encode(dict(run) if is_dict else run)[1:-1])
-    return brackets[0] + indent + ("," + indent).join(parts) + indent[:-2] + brackets[1]
 
 
 def _render(records, out_format: str) -> str:
@@ -510,10 +474,11 @@ def _render(records, out_format: str) -> str:
         lines = [",".join(rows[0]), *(",".join(map(fmt, row.values())) for row in rows)]
         return "\n".join(lines) + "\n"
     rows = list(map(_json_value, rows))
-    if isinstance(records, list) and rows and all(
-            row and _SCALARS.issuperset(map(type, row.values())) for row in rows):
-        return _json_list([_level_json(2)(row)[1:-1] for row in rows])  # flat records
-    return _json_text(rows[0] if isinstance(records, dict) else rows) + "\n"
+    flat = rows and not any(isinstance(v, (dict, list, tuple)) for v in rows[0].values())
+    if isinstance(records, list) and flat:
+        return _json_list([_flat_json(row)[1:-1] for row in rows])
+    data = rows[0] if isinstance(records, dict) else rows
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 SWEEP_HEADER = (

@@ -3,21 +3,11 @@ bounds), the subcommand help pages, and the JSON layout of emitted records."""
 
 import json
 import math
-import random
 import re
 
 import pytest
 
-from aggdelay.cli import (
-    EXIT_CONFIG,
-    EXIT_OK,
-    ConfigError,
-    _json_text,
-    _render,
-    emit,
-    main,
-    parse_run_config,
-)
+from aggdelay.cli import EXIT_CONFIG, EXIT_OK, ConfigError, emit, main, parse_run_config
 
 COMMANDS = ("profiles", "gain", "sweep", "threshold", "optimal-k", "simulate", "validate")
 COMMON_FLAGS = {
@@ -219,55 +209,3 @@ def test_json_records_are_laid_out_as_json_dumps(capsys, records):
     emit(records, "json", None)
     data = strict(records) if isinstance(records, dict) else [strict(r) for r in records]
     assert capsys.readouterr().out == json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
-SCALARS = [True, False, None, 0, -7, 2**70, 0.1, -2.5e-300, "", "inf", "-inf", "nan",
-            'q"uote\\back\nnew\ttab\x00\u00e9\U0001f600']
-NESTED_SHAPES = [
-    {"outer": {"b": 1, "a": {"z": None, "y": [1, 2]}}, "flat": 0.5},
-    [{"seed": 1, "result": {"x": 1.5, "ok": True}}, {"seed": 2, "result": {"x": "nan"}}],
-    [], {}, {"e": [], "d": {}, "c": [[]], "b": [{}], "a": [[], {}]},
-    {"list": [1, [2, [3, {"k": "inf"}]], "s"], "tuple": (1.0, "-inf")},
-    dict(zip("abcdefghijklm", SCALARS)),
-    SCALARS,
-    *SCALARS,
-]
-
-
-def _random_json(rng: random.Random, depth: int):
-    """A random nest of dicts and lists over SCALARS, at most ``depth`` deep."""
-    roll = rng.random()
-    if depth == 0 or roll < 0.4:
-        return rng.choice(SCALARS + [rng.uniform(-1e6, 1e6)])
-    width = rng.randrange(4)
-    if roll < 0.7:
-        return [_random_json(rng, depth - 1) for _ in range(width)]
-    return {rng.choice(["a", "b", "k", "z\u00e9", 'q"']) + str(i): _random_json(rng, depth - 1)
-            for i in range(width)}
-
-
-def _dumps(value) -> str:
-    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-@pytest.mark.parametrize("value", NESTED_SHAPES)
-def test_json_text_matches_json_dumps_on_nested_shapes(value):
-    assert _json_text(value) + "\n" == _dumps(value)
-    if isinstance(value, dict) or isinstance(value, list) and all(
-            isinstance(row, dict) for row in value):
-        assert _render(value, "json") == _dumps(value)
-
-
-def test_json_text_matches_json_dumps_on_random_nests():
-    rng = random.Random(2024)
-    for _ in range(400):
-        value = _random_json(rng, 4)
-        assert _json_text(value) + "\n" == _dumps(value), value
-
-
-def test_json_text_rejects_non_finite_floats_like_json_dumps():
-    for value in ({"a": {"b": math.nan}}, [[1.0, math.inf]], {"a": -math.inf}):
-        with pytest.raises(ValueError):
-            _dumps(value)
-        with pytest.raises(ValueError):
-            _json_text(value)
