@@ -44,6 +44,7 @@ from .solver import (
     gain_grid,
     k1_stability_limit,
     lambda_threshold,
+    lambda_thresholds,
     optimal_k,
 )
 
@@ -73,6 +74,7 @@ __all__ = [
     "gain_grid",
     "k1_stability_limit",
     "lambda_threshold",
+    "lambda_thresholds",
     "optimal_k",
     "overhead_gamma",
     "profile_for",

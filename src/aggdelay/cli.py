@@ -24,7 +24,9 @@ from .model import PKForm, TrafficSpec
 from .phy import RATES_11B, RATES_11G, PhyProfile, Standard, overhead_gamma, profile_for
 from .presets import preset
 from .sim import SimConfig, SimMode, replications, simulate, validate_against_model
-from .solver import GainGrid, SearchParams, gain_grid, lambda_threshold, optimal_k
+from .solver import GainGrid, SearchParams, gain_grid, lambda_thresholds, optimal_k
+# lambda_threshold stays importable from this module, where profilers wrap it.
+from .solver import lambda_threshold  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -572,18 +574,15 @@ def _run_sweep(rc: RunConfig) -> int:
 def _run_threshold(rc: RunConfig) -> int:
     _require(bool(rc.k_values), "threshold needs --k")
     _require(all(k >= 2 for k in rc.k_values), "threshold needs every k >= 2")
-    records = []
-    for k in rc.k_values:
-        r = lambda_threshold(k, rc.phy, rc.traffic, rc.form, rc.search)
-        records.append({
-            "k": r.k,
-            "lambda_star": r.lambda_star,
-            "lambda_low": r.bracket[0],
-            "lambda_high": r.bracket[1],
-            "iterations": r.iterations,
-            "converged": r.converged,
-            "note": r.note,
-        })
+    records = [{
+        "k": r.k,
+        "lambda_star": r.lambda_star,
+        "lambda_low": r.bracket[0],
+        "lambda_high": r.bracket[1],
+        "iterations": r.iterations,
+        "converged": r.converged,
+        "note": r.note,
+    } for r in lambda_thresholds(rc.k_values, rc.phy, rc.traffic, rc.form, rc.search)]
     emit(records, rc.out_format, rc.out_path)
     failed = ", ".join(str(r["k"]) for r in records if not r["converged"])
     if failed:

@@ -72,15 +72,18 @@ _MOMENT_ERROR = {
 
 def _family_moments(family: PayloadFamily, mean=None, lo=None, hi=None, values=None) -> tuple:
     """Payload mean and variance implied by ``mean`` (deterministic, exponential),
-    ``lo`` and ``hi`` (uniform) or the sample ``values`` (empirical)."""
-    if family is PayloadFamily.DETERMINISTIC:
-        return mean, 0.0
-    if family is PayloadFamily.EXPONENTIAL:
-        return mean, mean**2
-    if family is PayloadFamily.UNIFORM_RANGE:
-        return (lo + hi) / 2.0, (hi - lo) ** 2 / 12.0
-    mean = sum(values) / len(values)
-    return mean, sum((v - mean) ** 2 for v in values) / len(values)
+    ``lo`` and ``hi`` (uniform) or the sample ``values`` (empirical); ValueError on overflow."""
+    try:
+        if family is PayloadFamily.DETERMINISTIC:
+            return mean, 0.0
+        if family is PayloadFamily.EXPONENTIAL:
+            return mean, mean**2
+        if family is PayloadFamily.UNIFORM_RANGE:
+            return (lo + hi) / 2.0, (hi - lo) ** 2 / 12.0
+        mean = sum(values) / len(values)
+        return mean, sum((v - mean) ** 2 for v in values) / len(values)
+    except OverflowError:
+        raise ValueError(f"{family.value} payload moments (mean, variance) overflow") from None
 
 
 @dataclass(frozen=True)

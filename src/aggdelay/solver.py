@@ -1,12 +1,12 @@
 """Search routines on top of the analytic model.
 
-``lambda_threshold`` finds the traffic rate where the aggregation gain
-G(k) first turns non-positive (the break-even point), a cubic root in
-closed form; ``optimal_k`` picks the batch size minimizing mean system
-time at a fixed rate, and ``gain_grid`` evaluates a (k, lambda) grid.
-All three run the model's one numpy kernel. ``optimal_k`` returns its point
-as the ``QueueMetrics`` record ``evaluate`` gives; ``gain_grid`` returns a
-``GainGrid``, a sequence of those records over the kernel's columns."""
+``lambda_thresholds`` finds, for each k, the rate where the aggregation gain
+G(k) first turns non-positive (the break-even point), a cubic root in closed
+form, and checks all k in one kernel call (``lambda_threshold``: one k).
+``optimal_k`` picks the batch size minimizing mean system time at a fixed
+rate, and ``gain_grid`` evaluates a (k, lambda) grid, all on the model's one
+numpy kernel. ``optimal_k`` returns its point as the ``QueueMetrics`` record
+``evaluate`` gives; ``gain_grid`` a ``GainGrid``, a sequence of those records."""
 
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from .model import _DEFAULT_FORM, _Chain, _chain, _check_k, _check_lambda, _mome
 from .phy import PhyProfile
 
 
-OPTIMAL_K_CHUNK = 2**16  # batch sizes optimal_k evaluates per kernel call: bounds its memory
+OPTIMAL_K_CHUNK = 2**16  # k per kernel call of optimal_k and lambda_thresholds: bounds memory
 
 
 @dataclass(frozen=True)
@@ -126,40 +126,56 @@ def lambda_threshold(
     k: int, phy: PhyProfile, traffic: TrafficSpec, form: PKForm = _DEFAULT_FORM,
     search: SearchParams = SearchParams(),
 ) -> ThresholdResult:
-    """Smallest rate where G(k, .) changes from positive to non-positive.
+    """Smallest rate where G(k, .) changes from positive to non-positive, for one k."""
+    return lambda_thresholds((k,), phy, traffic, form, search)[0]
+
+
+def lambda_thresholds(
+    k_values, phy: PhyProfile, traffic: TrafficSpec, form: PKForm = _DEFAULT_FORM,
+    search: SearchParams = SearchParams(),
+) -> list[ThresholdResult]:
+    """For each k, the smallest rate where G(k, .) changes from positive to non-positive.
 
     lambda* is the smallest root of ``_break_even_cubic`` in (lambda_min,
     min(lambda_max, k/s_k, 1/s_1)) in closed form, polished by Newton steps;
-    one kernel call checks G(low) > 0 >= G(high) on lambda* (1 -/+ rel_tol/4).
-    If G is already non-positive at lambda_min the result is converged at
-    lambda_min with a note; if no root lies in range, or G does not change
-    sign across it, ``converged`` is False.
+    a kernel call checks G(low) > 0 >= G(high) on lambda* (1 -/+ rel_tol/4),
+    once per ``OPTIMAL_K_CHUNK`` batch sizes. If G is already non-positive at
+    lambda_min the result is converged at lambda_min with a note; if no root
+    lies in range, or G does not change sign across it, ``converged`` is False.
     """
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"threshold search needs an integer k >= 2, got {k!r}")
+    k_values = tuple(k_values)
+    if bad := [k for k in k_values if not isinstance(k, int) or k < 2]:
+        raise ValueError(f"threshold search needs an integer k >= 2, got {bad[0]!r}")
     m = _moments(phy, traffic)
-    (s_k, v_k), (s_1, v_1) = _service(k, m), _service(1, m)
-    lam_min, lam_max = search.lambda_min, search.lambda_max
-    if lam_max is None:
-        lam_max = 0.999 * (1.0 / s_1)
+    s_1, v_1 = _service(1, m)
+    lam_min = search.lambda_min
+    lam_max = 0.999 * (1.0 / s_1) if search.lambda_max is None else search.lambda_max
     if lam_max <= lam_min:
         raise ValueError(f"empty search range: lambda_max {lam_max:g} <= lambda_min {lam_min:g}")
-    v_k, v_1 = (v_k, v_1) if form is PKForm.GENERAL_PK else (0.0, 0.0)
-    coeffs = _break_even_cubic(k, s_k, s_k * s_k + v_k, s_1, s_1 * s_1 + v_1)
-    limit = min(k / s_k, 1.0 / s_1)
-    roots = [x for x in _positive_roots(*coeffs) if lam_min < x < limit and x <= lam_max]
-    root, steps = _polish(coeffs, min(roots)) if roots else (math.nan, 0)
-    low, high = root * (1.0 - 0.25 * search.rel_tol), root * (1.0 + 0.25 * search.rel_tol)
-    g = _chain(np.float64(k), np.array([lam_min, low, high]), m, form).gain.tolist()
-    if g[0] <= 0.0:
-        note = "gain already non-positive at lambda_min"
-        return ThresholdResult(k, lam_min, (lam_min, lam_min), 0, True, note)
-    if not roots:
-        note = "no sign change within the search range"
-        return ThresholdResult(k, math.nan, (lam_min, lam_max), 0, False, note)
-    converged = g[1] > 0.0 >= g[2]
-    note = "" if converged else "gain does not change sign across the cubic root"
-    return ThresholdResult(k, root if converged else math.nan, (low, high), steps, converged, note)
+    tol, general = 0.25 * search.rel_tol, form is PKForm.GENERAL_PK
+    q_1, results = s_1 * s_1 + (v_1 if general else 0.0), []
+    for start in range(0, len(k_values), OPTIMAL_K_CHUNK):
+        chunk, solves = k_values[start:start + OPTIMAL_K_CHUNK], []
+        for k in chunk:
+            s_k, v_k = _service(k, m)
+            coeffs = _break_even_cubic(k, s_k, s_k * s_k + (v_k if general else 0.0), s_1, q_1)
+            limit = min(k / s_k, 1.0 / s_1)
+            roots = [x for x in _positive_roots(*coeffs) if lam_min < x < limit and x <= lam_max]
+            root, steps = _polish(coeffs, min(roots)) if roots else (math.nan, 0)
+            solves.append((bool(roots), root, steps, root * (1.0 - tol), root * (1.0 + tol)))
+        lam = np.array([(lam_min, low, high) for *_, low, high in solves])
+        gains = _chain(np.array(chunk, dtype=float)[:, None], lam, m, form).gain.tolist()
+        for k, (found, root, steps, low, high), g in zip(chunk, solves, gains):
+            if g[0] <= 0.0:
+                r = lam_min, (lam_min, lam_min), 0, True, "gain already non-positive at lambda_min"
+            elif not found:
+                r = math.nan, (lam_min, lam_max), 0, False, "no sign change within the search range"
+            else:
+                ok = g[1] > 0.0 >= g[2]
+                r = (root if ok else math.nan, (low, high), steps, ok,
+                     "" if ok else "gain does not change sign across the cubic root")
+            results.append(ThresholdResult(k, *r))
+    return results
 
 
 def optimal_k(

@@ -3,6 +3,7 @@ patches must still exist, or ``bench/run.py --trace 1`` breaks silently."""
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -38,3 +39,19 @@ def test_sweep_calls_each_traced_grid_name_once_with_the_whole_grid(monkeypatch,
     assert cli.main([*sweep, "--format", "json"]) == 0
     assert cli.main(["gain", "--k", "4", "--lambda", "900"]) == 0
     assert sizes == {"gain_grid": [21, 21, 1], "sweep_csv": [21, 1], "sweep_json": [21]}
+
+
+def test_tracer_runs_over_a_threshold_call(capsys):
+    """``--trace 1`` on the threshold path: the tracer wraps a preset threshold call
+    as ``bench/worker.py`` does, and the per-layer figures come out of its spans."""
+    spans = load_spans()
+    names = ("aggdelay.cli", "aggdelay.solver", "aggdelay.sim", "aggdelay.model")
+    modules = {name: importlib.import_module(name) for name in names}
+    cli, tracer = modules["aggdelay.cli"], spans.Tracer()
+    with tracer.installed(modules):
+        assert tracer.wrap(cli.main, spans.ROOT)(["threshold", "--preset", "fig4-11"]) == 0
+    assert capsys.readouterr().out.count("\n") == 1 + 19  # the header and k = 2..20
+    assert cli.lambda_threshold is modules["aggdelay.solver"].lambda_threshold  # unwrapped
+    metrics = spans.layer_metrics(tracer)
+    assert metrics["cli.self_ms_per_call"] > 0.0
+    assert all(math.isfinite(value) for value in metrics.values())

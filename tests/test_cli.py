@@ -548,6 +548,31 @@ def test_bad_model_input_names_its_field_and_exits_2(capsys, argv, field):
     assert err.startswith(f"error: {field} must be ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        ("--payload-family", "exponential", "--payload-mean-bits", "1e200"),
+        ("--payload-uniform", "0:1e308"),
+        ("--payload-empirical", "1e308,1"),
+    ],
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("gain", "--k", "2", "--lambda", "5"),
+        ("threshold", "--k", "2"),
+        ("simulate", "--lambda", "10", "--frames", "1000"),
+    ],
+)
+def test_payload_moment_overflow_exits_2(capsys, command, payload):
+    """Deterministic payloads are left out: their variance is 0 and cannot overflow."""
+    code, out, err = run(capsys, *command, *payload)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "payload moments" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("key", ["bit_rate_bps", "ack_rate_bps", "slot_us", "difs_us",
                                  "sifs_us", "preamble_us"])
 @pytest.mark.parametrize("bad", ["nan", "inf"])

@@ -312,6 +312,25 @@ def test_traffic_spec_moment_edges():
         _spec(emp, mean, 1e-6, empirical_values=(800.0, 800.0))
 
 
+def test_traffic_spec_moment_overflow_is_a_value_error():
+    """A variance past the float range ends in ValueError, through the classmethods and
+    the plain constructor alike; deterministic payloads have no variance to overflow."""
+    exp_, uni, emp = (PayloadFamily.EXPONENTIAL, PayloadFamily.UNIFORM_RANGE,
+                      PayloadFamily.EMPIRICAL)
+    builds = [
+        lambda: TrafficSpec.exponential(100.0, 1e200),
+        lambda: TrafficSpec.uniform_range(100.0, 0.0, 1e308),
+        lambda: TrafficSpec.empirical(100.0, [1e308, 1.0]),
+        lambda: _spec(exp_, 1e200, 1e300),
+        lambda: _spec(uni, 5e307, 1e300, uniform_lo=0.0, uniform_hi=1e308),
+        lambda: _spec(emp, 5e307, 1e300, empirical_values=(1e308, 1.0)),
+    ]
+    for build in builds:
+        with pytest.raises(ValueError, match="payload moments .* overflow"):
+            build()
+    assert TrafficSpec.deterministic(100.0, 1e200).payload_variance == 0.0
+
+
 @pytest.mark.parametrize("lo, hi", [(1200.0, 400.0), (800.0, 800.0), (-100.0, 1700.0)])
 def test_uniform_range_needs_ordered_non_negative_bounds(lo, hi):
     with pytest.raises(ValueError, match=r"uniform-range payloads require 0 <= lo < hi"):

@@ -18,15 +18,19 @@ from aggdelay import (
     PKForm,
     QueueMetrics,
     SearchParams,
+    ThresholdResult,
     TrafficSpec,
     evaluate,
     gain,
     gain_grid,
     k1_stability_limit,
     lambda_threshold,
+    lambda_thresholds,
     optimal_k,
     system_time,
 )
+from aggdelay.cli import parse_run_config
+from aggdelay.presets import PRESETS, preset
 from conftest import custom_profile
 
 LAMBDA_STAR_5 = 1405.7862573980005
@@ -155,6 +159,101 @@ def test_optimal_k_matches_bruteforce_on_random_configs():
         else:
             assert k_best == brute[0]
             assert metrics.system_time == brute[1]
+
+
+def _per_k_threshold(k, phy, traffic, form, search=SearchParams()):
+    """One k solved alone, moments and a three-point kernel check of its own: the
+    algorithm ``lambda_threshold`` ran before thresholds were checked in batches."""
+    m = solver._moments(phy, traffic)
+    (s_k, v_k), (s_1, v_1) = solver._service(k, m), solver._service(1, m)
+    lam_min, lam_max = search.lambda_min, search.lambda_max
+    if lam_max is None:
+        lam_max = 0.999 * (1.0 / s_1)
+    v_k, v_1 = (v_k, v_1) if form is PKForm.GENERAL_PK else (0.0, 0.0)
+    coeffs = solver._break_even_cubic(k, s_k, s_k * s_k + v_k, s_1, s_1 * s_1 + v_1)
+    limit = min(k / s_k, 1.0 / s_1)
+    roots = [x for x in solver._positive_roots(*coeffs) if lam_min < x < limit and x <= lam_max]
+    root, steps = solver._polish(coeffs, min(roots)) if roots else (math.nan, 0)
+    low, high = root * (1.0 - 0.25 * search.rel_tol), root * (1.0 + 0.25 * search.rel_tol)
+    g = solver._chain(np.float64(k), np.array([lam_min, low, high]), m, form).gain.tolist()
+    if g[0] <= 0.0:
+        note = "gain already non-positive at lambda_min"
+        return ThresholdResult(k, lam_min, (lam_min, lam_min), 0, True, note)
+    if not roots:
+        note = "no sign change within the search range"
+        return ThresholdResult(k, math.nan, (lam_min, lam_max), 0, False, note)
+    converged = g[1] > 0.0 >= g[2]
+    note = "" if converged else "gain does not change sign across the cubic root"
+    return ThresholdResult(k, root if converged else math.nan, (low, high), steps, converged, note)
+
+
+def _assert_batched_equals_per_k(ks, phy, traffic, form, search=SearchParams()):
+    got = lambda_thresholds(ks, phy, traffic, form, search)
+    want = [_per_k_threshold(k, phy, traffic, form, search) for k in ks]
+    assert [repr(r) for r in got] == [repr(r) for r in want]
+    return got
+
+
+FIG_PRESETS = sorted(name for name in PRESETS if name.startswith(("fig4-", "fig5-")))
+DENSE_KS = (*range(2, 21, 3), *range(30, 151, 20))
+
+
+@pytest.mark.parametrize("name", FIG_PRESETS)
+@pytest.mark.parametrize("form", list(PKForm))
+def test_batched_thresholds_equal_the_per_k_solve_on_every_figure_preset(name, form):
+    rc = parse_run_config(preset(name))
+    assert len(FIG_PRESETS) == 12 and rc.k_values == tuple(range(2, 21))
+    for traffic in (rc.traffic, TrafficSpec.exponential(100.0, 800.0)):
+        for ks in (rc.k_values, DENSE_KS):
+            results = _assert_batched_equals_per_k(ks, rc.phy, traffic, form)
+            assert all(r.converged for r in results[:19])
+
+
+def test_batched_thresholds_cover_every_note_like_the_per_k_solve(phy_b11, det800, exp800):
+    non_positive = "gain already non-positive at lambda_min"
+    no_root = "no sign change within the search range"
+    cases = [  # (k values, search, the notes of their results)
+        ((2, 5, 20), SearchParams(lambda_min=1500.0), {non_positive, ""}),
+        ((5, 10**9), SearchParams(), {no_root, ""}),  # a huge k: no root below mu(1)
+        ((2, 5, 20), SearchParams(lambda_max=100.0), {no_root}),  # lambda_max below every root
+        ((2, 5, 20), SearchParams(lambda_max=1500.0, rel_tol=0.5), {no_root, ""}),
+    ]
+    for ks, search, notes in cases:
+        for traffic, form in ((det800, PKForm.DETERMINISTIC_SERVICE), (exp800, PKForm.GENERAL_PK)):
+            results = _assert_batched_equals_per_k(ks, phy_b11, traffic, form, search)
+            assert {r.note for r in results} == notes
+    huge = lambda_thresholds((10**9,), phy_b11, det800)[0]
+    assert not huge.converged and math.isnan(huge.lambda_star)
+    cut = lambda_thresholds((5,), phy_b11, det800, search=SearchParams(lambda_max=100.0))[0]
+    assert cut.bracket == (1.0, 100.0) and not cut.converged
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 64])
+def test_batched_thresholds_check_in_chunks_across_boundaries(monkeypatch, phy_b11, exp800, chunk):
+    ks = (2, 5, 3, 2, 40, 10**9, 7, 20, 4, 150, 9)
+    search = SearchParams(lambda_min=1200.0, lambda_max=1300.0)
+    want = [_per_k_threshold(k, phy_b11, exp800, PKForm.GENERAL_PK, search) for k in ks]
+    assert len({r.note for r in want}) == 3  # converged, non-positive at lambda_min, no root
+    shapes, chain = [], solver._chain
+
+    def recording_chain(k, lam, *args):
+        shapes.append(lam.shape)
+        return chain(k, lam, *args)
+
+    monkeypatch.setattr(solver, "OPTIMAL_K_CHUNK", chunk)
+    monkeypatch.setattr(solver, "_chain", recording_chain)
+    got = lambda_thresholds(ks, phy_b11, exp800, PKForm.GENERAL_PK, search)
+    assert [repr(r) for r in got] == [repr(r) for r in want]
+    sizes = [len(ks[i:i + chunk]) for i in range(0, len(ks), chunk)]
+    assert shapes == [(n, 3) for n in sizes]
+
+
+def test_lambda_thresholds_takes_any_iterable_and_rejects_a_bad_k(phy_b11, det800):
+    assert lambda_thresholds((), phy_b11, det800) == []
+    assert lambda_thresholds(iter([5]), phy_b11, det800) == [lambda_threshold(5, phy_b11, det800)]
+    for bad in ([2, 1], [2, 3.0], [True]):
+        with pytest.raises(ValueError, match="integer k >= 2"):
+            lambda_thresholds(bad, phy_b11, det800)
 
 
 def _whole_array_optimal_k(lam, phy, traffic, form, k_max):
