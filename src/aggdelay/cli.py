@@ -19,6 +19,7 @@ from collections import namedtuple
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cache
+from itertools import chain, repeat
 
 from .model import PKForm, TrafficSpec
 from .phy import RATES_11B, RATES_11G, PhyProfile, Standard, overhead_gamma, profile_for
@@ -196,7 +197,9 @@ def _parse_phy(section: dict) -> PhyProfile:
     values = {_phy_field(key): value for key, value in section.items() if key != "standard"}
     if section["standard"] == "custom":
         return PhyProfile(standard_id=Standard.CUSTOM, **values)
-    return replace(profile_for(section["standard"], values.pop("bit_rate")), **values)
+    profile = profile_for(section["standard"], values.pop("bit_rate"))
+    changed = any(section[key] != default for key, (default, _) in _PHY_OPTIONS.items())
+    return replace(profile, **values) if changed else profile
 
 
 def _phy_config(profile: PhyProfile, keys) -> dict:
@@ -372,10 +375,15 @@ FLAGS = (
     ("--replications", ("simulate",), dict(type=int, help="seeds to run"), "sim.replications"),
 )
 
+# (argparse dest, subcommands, parent keys, key) of each FLAGS row with a config path.
+_FLAG_PATHS = tuple((flag[2:].replace("-", "_"), names, path.split(".")[:-1], path.split(".")[-1])
+                    for flag, names, _, path in FLAGS if path)
+
 
 @cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of ``command`` alone, or one listing every subcommand.
+    """The parser of ``command`` alone, or one listing every subcommand; its
+    ``commands`` maps each subcommand it lists to that subcommand's own parser.
 
     Built once per process for each ``command`` and shared by every later
     call, so ``main`` may run many times cheaply: do not mutate it.
@@ -385,6 +393,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Decide when 802.11 frame aggregation reduces mean delay.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    parser.commands = subparsers.choices
     for name, (help_text, _) in COMMANDS.items():
         if command not in (None, name):
             continue
@@ -421,11 +430,10 @@ def _config_from_args(command: str, args: argparse.Namespace) -> dict:
         _require(isinstance(file_cfg, dict), "config file must hold a JSON object")
         cfg = _merge(cfg, file_cfg)
     flags: dict = {}
-    for flag, names, _, path in FLAGS:
-        value = getattr(args, flag[2:].replace("-", "_"), None)
-        if path is None or command not in names or value is None or value is False:
+    for dest, names, parents, key in _FLAG_PATHS:
+        value = getattr(args, dest, None)
+        if command not in names or value is None or value is False:
             continue
-        *parents, key = path.split(".")
         node = flags
         for part in parents:
             node = node.setdefault(part, {})
@@ -463,6 +471,7 @@ def _config_from_args(command: str, args: argparse.Namespace) -> dict:
 # lays out each record's body the same way, faster, and _json_list lays out the list.
 _flat_json = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": "), allow_nan=False).encode
 _JSON_SEP = "\n  },\n  {\n    "
+_BOOL_CELL = ("false", "true").__getitem__
 
 
 def _json_list(items: list) -> str:
@@ -470,11 +479,20 @@ def _json_list(items: list) -> str:
 
 
 def _render(records, out_format: str) -> str:
-    """CSV (header: the record keys, cells: fmt) or JSON text of a dict or a list of dicts."""
+    """CSV (header: the record keys, cells: fmt) or JSON text of a dict or a list of dicts
+    with the same keys. CSV rows fill one ``%`` template: a float column's cells are
+    ``%.12g``, an int or str column's ``%s``, other columns' ``fmt`` of each value."""
     rows = [records] if isinstance(records, dict) else records
     if out_format == "csv":
-        lines = [",".join(rows[0]), *(",".join(map(fmt, row.values())) for row in rows)]
-        return "\n".join(lines) + "\n"
+        cells, columns = [], []
+        for column in zip(*(row.values() for row in rows)):
+            kinds = set(map(type, column))
+            kind = kinds.pop() if len(kinds) == 1 else None
+            cells.append("%.12g" if kind is float else "%s")
+            columns.append(column if kind in (float, int, str) else
+                           map(_BOOL_CELL if kind is bool else fmt, column))
+        body = "\n".join(repeat(",".join(cells), len(rows)))
+        return f"{','.join(rows[0])}\n{body % tuple(chain.from_iterable(zip(*columns)))}\n"
     rows = list(map(_json_value, rows))
     flat = rows and not any(isinstance(v, (dict, list, tuple)) for v in rows[0].values())
     if isinstance(records, list) and flat:
@@ -490,7 +508,6 @@ SWEEP_HEADER = (
 # Column -> QueueMetrics attribute: the column without its unit suffix, lam for lambda.
 _SWEEP_FIELDS = {column: "lam" if column == "lambda" else column.removesuffix("_s")
                  for column in SWEEP_HEADER.split(",")}
-_BOOL_CELL = ("false", "true").__getitem__
 _JSON_NONFINITE = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
 # One sweep JSON record's body, keys sorted: {k} and {mean} are filled once per k, % the rest.
 _JSON_ROW = ",\n    ".join(f'"{name}": ' + {"k": "{k}", "service_mean_s": "{mean}"}.get(name, "%s")
@@ -504,15 +521,19 @@ def _json_numbers(values: list) -> list:
 
 
 def sweep_csv(grid: GainGrid) -> str:
-    """``_render`` CSV text of a sweep, formatted column by column, one k-row at a time."""
-    c, number = grid.columns, "{:.12g}".format
-    lam, lines = list(map(number, grid.lam_values)), [SWEEP_HEADER]
+    """``_render`` CSV text of a sweep, formatted column by column, one ``%`` call per k-row
+    over a row template with each rate's cell in place (``"%.12g" % x`` is ``fmt(x)``)."""
+    c, n = grid.columns, len(grid.lam_values)
+    template = "".join("%%s,%.12g,%%.12g,%%s,%%.12g,%%.12g,%%.12g,%%.12g,%%s\n" % lam
+                       for lam in grid.lam_values)
+    lines = [SWEEP_HEADER + "\n"]
     for i, k in enumerate(grid.k_values):
-        line = f"{k},%s,%s,{number(c.service_mean.item(i, 0))},%s,%s,%s,%s,%s".__mod__
-        floats = (map(number, value[i].tolist())
-                  for value in (c.erlang_wait, c.rho, c.queue_wait, c.system_time, c.gain))
-        lines.append("\n".join(map(line, zip(lam, *floats, map(_BOOL_CELL, c.stable[i].tolist())))))
-    return "\n".join(lines) + "\n"
+        mean = "%.12g" % c.service_mean.item(i, 0)
+        lines.append(template % tuple(chain.from_iterable(zip(
+            repeat(k, n), c.erlang_wait[i].tolist(), repeat(mean, n), c.rho[i].tolist(),
+            c.queue_wait[i].tolist(), c.system_time[i].tolist(), c.gain[i].tolist(),
+            map(_BOOL_CELL, c.stable[i].tolist())))))
+    return "".join(lines)
 
 
 def sweep_json(grid: GainGrid) -> str:
@@ -669,7 +690,11 @@ def main(argv: list[str] | None = None) -> int:
     command = argv[0] if argv and argv[0] in COMMANDS else None
     parser = build_parser(command)
     try:
-        args = parser.parse_args(argv)
+        # One pass with the subcommand's own parser; the top-level one words the errors
+        # of a missing or unknown subcommand and of arguments no parser knows.
+        args, extra = parser.commands[command].parse_known_args(argv[1:]) if command else (None, True)
+        if extra:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:

@@ -19,8 +19,6 @@ bound the influence of the filled-in overhead terms.
 
 from __future__ import annotations
 
-import copy
-
 _TRAFFIC_800_BITS = {
     "payload_family": "deterministic",
     "payload_mean_bits": 800.0,
@@ -66,9 +64,9 @@ for _mbps, _rate in (
 
 
 def preset(name: str) -> dict:
-    """Deep copy of a named preset config; KeyError lists the valid names."""
+    """Copy of a named preset config and of each section; KeyError lists the valid names."""
     if name not in PRESETS:
         raise KeyError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         )
-    return copy.deepcopy(PRESETS[name])
+    return {key: dict(v) if isinstance(v, dict) else v for key, v in PRESETS[name].items()}

@@ -156,14 +156,16 @@ def lambda_thresholds(
     q_1, results = s_1 * s_1 + (v_1 if general else 0.0), []
     for start in range(0, len(k_values), OPTIMAL_K_CHUNK):
         chunk, solves = k_values[start:start + OPTIMAL_K_CHUNK], []
-        for k in chunk:
-            s_k, v_k = _service(k, m)
-            coeffs = _break_even_cubic(k, s_k, s_k * s_k + (v_k if general else 0.0), s_1, q_1)
+        for k in chunk:  # _service(k, m), inline
+            s_k = k * m.payload_mean / m.bit_rate + m.gamma + m.backoff_mean
+            v_k = m.backoff_var + k * m.payload_variance / m.bit_rate_sq if general else 0.0
+            coeffs = _break_even_cubic(k, s_k, s_k * s_k + v_k, s_1, q_1)
             limit = min(k / s_k, 1.0 / s_1)
             roots = [x for x in _positive_roots(*coeffs) if lam_min < x < limit and x <= lam_max]
             root, steps = _polish(coeffs, min(roots)) if roots else (math.nan, 0)
             solves.append((bool(roots), root, steps, root * (1.0 - tol), root * (1.0 + tol)))
-        lam = np.array([(lam_min, low, high) for *_, low, high in solves])
+        lam = np.empty((len(chunk), 3))
+        lam[:, 0], lam[:, 1], lam[:, 2] = lam_min, [s[3] for s in solves], [s[4] for s in solves]
         gains = _chain(np.array(chunk, dtype=float)[:, None], lam, m, form).gain.tolist()
         for k, (found, root, steps, low, high), g in zip(chunk, solves, gains):
             if g[0] <= 0.0:
@@ -252,4 +254,7 @@ def gain_grid(
         np.array(k_values, dtype=float)[:, None], np.array(lam_values), _moments(phy, traffic), form
     )
     shape = (len(k_values), len(lam_values))
-    return GainGrid(k_values, lam_values, _Chain._make(np.broadcast_to(v, shape) for v in values))
+    for value in values:
+        value.flags.writeable = False  # as read-only as the broadcast service moments
+    return GainGrid(k_values, lam_values, _Chain._make(
+        value if value.shape == shape else np.broadcast_to(value, shape) for value in values))
