@@ -605,10 +605,18 @@ def _run_threshold(rc: RunConfig) -> int:
         "note": r.note,
     } for r in lambda_thresholds(rc.k_values, rc.phy, rc.traffic, rc.form, rc.search)]
     emit(records, rc.out_format, rc.out_path)
-    failed = ", ".join(str(r["k"]) for r in records if not r["converged"])
-    if failed:
+    runs = []  # [first, last] of each run of consecutive failing k
+    for r in records:
+        if r["converged"]:
+            continue
+        if runs and r["k"] == runs[-1][1] + 1:
+            runs[-1][1] = r["k"]
+        else:
+            runs.append([r["k"], r["k"]])
+    if runs:
+        failed = ", ".join(str(a) if a == b else f"{a}..{b}" for a, b in runs)
         print(f"threshold did not converge for k = {failed}", file=sys.stderr)
-    return EXIT_NO_CONVERGENCE if failed else EXIT_OK
+    return EXIT_NO_CONVERGENCE if runs else EXIT_OK
 
 
 def _run_optimal_k(rc: RunConfig) -> int:

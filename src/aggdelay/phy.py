@@ -8,6 +8,7 @@ uniform draw on {0, ..., cw} scaled by the slot time.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -115,7 +116,8 @@ def profile_for(standard: Standard | str, rate: float) -> PhyProfile:
     112-bit ACK sent at the data rate behind one preamble.
 
     Raises :class:`UnsupportedRateError` for an unknown standard or a rate
-    outside the standard's rate set.
+    outside the standard's rate set. Each of the twelve presets is built
+    once: repeated calls return the same (immutable) profile.
     """
     if not isinstance(standard, Standard):
         try:
@@ -125,17 +127,21 @@ def profile_for(standard: Standard | str, rate: float) -> PhyProfile:
                 f"unknown standard {standard!r}; supported: "
                 f"{Standard.DOT11B.value!r}, {Standard.DOT11G.value!r}"
             ) from None
-    if standard is Standard.DOT11B:
-        rates = RATES_11B
-        slot, difs, preamble = 20e-6, 50e-6, 96e-6
-    elif standard is Standard.DOT11G:
-        rates = RATES_11G
-        slot, difs, preamble = 20e-6, 28e-6, 22.1e-6
-    else:
+    if standard is Standard.CUSTOM:
         raise UnsupportedRateError(
             "no presets for the custom standard; construct PhyProfile directly"
         )
-    rate = float(rate)
+    return _preset(standard, float(rate))
+
+
+@functools.cache  # holds at most the twelve presets: a failed call caches nothing
+def _preset(standard: Standard, rate: float) -> PhyProfile:
+    if standard is Standard.DOT11B:
+        rates = RATES_11B
+        slot, difs, preamble = 20e-6, 50e-6, 96e-6
+    else:
+        rates = RATES_11G
+        slot, difs, preamble = 20e-6, 28e-6, 22.1e-6
     if rate not in rates:
         valid = ", ".join(f"{r:g}" for r in rates)
         raise UnsupportedRateError(

@@ -17,26 +17,26 @@ from the one seed, so changing one distribution never perturbs the
 others' draws. Identical (config, seed) gives bit-identical results, and
 independent runs share no state.
 
-A run is streamed in fixed blocks of 2^20 frames (whole batches), each
-drawn in chunks of 2^16 frames: a chunk continues the arrival cumsum and
-the closed-form Lindley scan from the previous chunk's carries, and a
-block folds its statistics into running (n, mean, M2) moments merged with
-Chan et al.'s pairwise update. Memory therefore stays flat whatever
-``num_frames`` is. Every per-frame time is bitwise the one an all-at-once
-run computes, and a queue wait is exactly 0 at the start of a busy
-period. A one-block run reduces sojourn and buffer wait exactly as
+A run is streamed in fixed blocks of 2^16 frames (whole batches): a block
+continues the arrival cumsum and the closed-form Lindley scan from the
+previous block's carries, and folds its statistics into running (n, mean,
+M2) moments merged with Chan et al.'s pairwise update. A block's arrays
+fit a 2 MB L2 cache, so its reductions run in cache, and memory stays flat
+whatever ``num_frames`` is. Every per-frame time is bitwise the one an
+all-at-once run computes, and a queue wait is exactly 0 at the start of a
+busy period. A one-block run reduces sojourn and buffer wait exactly as
 ``np.mean``/``np.std`` over the frame arrays do; the aggregated queue-wait
 and service means are frame-weighted batch means, equal up to rounding.
 
-A run of more than one block, in a process allowed at least two CPUs,
-draws its substreams on one helper thread, up to 8 chunks ahead into a
+A run of more than 2^20 frames, in a process allowed at least two CPUs,
+draws its substreams on one helper thread, up to 8 blocks ahead into a
 ring of reused buffers, while the calling thread runs the cumsum, the
-scan and the block reductions; so block i+1 is drawn while block i is
-reduced. Each substream is still drawn by one thread in frame order, and
-a draw in chunks equals one whole draw value for value, so no output byte
-depends on the thread, the chunks or the CPU count. A one-block run stays
-on the calling thread: it has no later block to draw meanwhile. The
-helper ends with the call, whether it returns or raises.
+scan and the block reductions. Each substream is still drawn by one thread
+in frame order, and a draw in blocks equals one whole draw value for
+value, so no output byte depends on the thread or the CPU count. A shorter
+run stays on the calling thread: on two CPUs its hand-offs cost more than
+the overlap gains. The helper ends with the call, whether it returns or
+raises.
 """
 
 from __future__ import annotations
@@ -218,14 +218,14 @@ def _sample_backoffs(
 
 
 class _Draws:
-    """A run's three substreams, drawn a chunk of frames at a time.
+    """A run's three substreams, drawn a block of frames at a time.
 
     ``fill(gaps, service)`` draws the next ``gaps.size`` frames'
     inter-arrival times into ``gaps`` and the service times gamma + backoff
     + payload/bit_rate of their whole batches into ``service``. Calls must
     come one at a time and in frame order; then each substream is drawn in
-    order, and a draw in chunks equals one whole draw value for value, so
-    neither the chunk size nor the calling thread changes a value.
+    order, and a draw in blocks equals one whole draw value for value, so
+    neither the block size nor the calling thread changes a value.
     """
 
     def __init__(self, config: SimConfig) -> None:
@@ -258,35 +258,28 @@ class _Draws:
         gaps *= self.scale  # bitwise rng.exponential(scale)
 
 
-def _drawn(draws: _Draws, pool, n: int, block: int, chunk: int, arrivals, service_times):
-    """Each chunk's draws, in frame order, for a run of ``n`` frames in blocks.
+def _drawn(draws: _Draws, pool, n: int, block: int):
+    """Each block's draws, in frame order, for a run of ``n`` frames.
 
-    Yields the chunk's inter-arrival times and, when they were not drawn
-    into their place, its batch service times. Without a pool the calling
-    thread draws each chunk when asked, straight into its place in the
-    block's ``arrivals`` and ``service_times``. With one, the pool's thread
-    draws up to ``_AHEAD`` chunks ahead into a ring of reused buffers, so
-    that it can go on while the caller still reduces the block before; a
-    ring slot is refilled only once the caller has asked for the next chunk.
+    Yields the block's inter-arrival times and its whole batches' service
+    times, in buffers the caller may overwrite until it asks for the next
+    block. Without a pool the calling thread draws each block when asked,
+    into one reused pair of buffers. With one, the pool's thread draws up to
+    ``_AHEAD`` blocks ahead into a ring of reused buffers, so that it can go
+    on while the caller still reduces the block before; a ring slot is
+    refilled only once the caller has asked for the next block.
     """
-    k = draws.k
-    places = (
-        (offset, min(chunk, size - offset))
-        for size in (min(block, n - first) for first in range(0, n, block))
-        for offset in range(0, size, chunk)
-    )
-    if pool is None:
-        for offset, size in places:
-            gaps = arrivals[offset : offset + size]
-            draws.fill(gaps, service_times[offset // k : (offset + size) // k])
-            yield gaps, None
-        return
-    ring_gaps = np.empty((_AHEAD + 1, chunk))
-    ring_service = np.empty((_AHEAD + 1, chunk // k))
+    slots = _AHEAD + 1 if pool else 1
+    ring_gaps = np.empty((slots, min(block, n)))
+    ring_service = np.empty((slots, ring_gaps.shape[1] // draws.k))
     pending = deque()
-    for i, (_, size) in enumerate(places):
-        slot = i % (_AHEAD + 1)
-        drawn = ring_gaps[slot, :size], ring_service[slot, : size // k]
+    for i, first in enumerate(range(0, n, block)):
+        size = min(block, n - first)
+        drawn = ring_gaps[i % slots, :size], ring_service[i % slots, : size // draws.k]
+        if pool is None:
+            draws.fill(*drawn)
+            yield drawn
+            continue
         pending.append((pool.submit(draws.fill, *drawn), drawn))
         if len(pending) > _AHEAD:
             future, drawn = pending.popleft()
@@ -395,15 +388,16 @@ class _Moments:
         return 1.96 * self.stddev / math.sqrt(self.n) if self.n >= 2 else math.nan
 
 
-#: Frames per internal block, rounded down to whole batches (at least one).
+#: Frames per block, rounded down to whole batches (at least one). A
+#: block's arrays then fit a 2 MB L2 cache, so its reductions run in cache.
 #: Per-frame values do not depend on it, but merging the moments of more
 #: blocks rounds differently, so it is fixed: output bytes stay a function
 #: of (config, seed) alone.
-_BLOCK_FRAMES = 1 << 20
-#: Frames per draw, rounded down to whole batches (at least one, at most a
-#: block). A block's values do not depend on how its draws are chunked.
-_CHUNK_FRAMES = 1 << 16
-#: Chunks a helper thread may draw ahead of the scan.
+_BLOCK_FRAMES = 1 << 16
+#: A run of more than this many frames draws on a helper thread where two
+#: CPUs are usable; a shorter one loses more to the hand-offs than it gains.
+_THREAD_FRAMES = 1 << 20
+#: Blocks a helper thread may draw ahead of the scan.
 _AHEAD = 8
 
 
@@ -415,34 +409,35 @@ def simulate(config: SimConfig) -> SimResult:
     In aggregated mode a trailing partial batch never completes and is
     reported as in-flight.
 
-    The run is walked in blocks of whole batches, and each block in chunks
-    of whole batches. Only the last arrival and batch-formation times, the
-    Lindley scan's service sum and running maximum, and the running
-    moments cross a chunk or block boundary, so memory does not grow with
-    ``num_frames``. Queue-wait and service means are taken over batches,
-    each weighted by its measured frames. A run of more than one block
-    draws on a helper thread when two CPUs are usable (module docstring).
+    The run is walked in blocks of whole batches. Only the last arrival
+    and batch-formation times, the Lindley scan's service sum and running
+    maximum, and the running moments cross a block boundary, so memory
+    does not grow with ``num_frames``. Queue-wait and service means are
+    taken over batches, each weighted by its measured frames. A run of
+    more than ``_THREAD_FRAMES`` frames draws on a helper thread when two
+    CPUs are usable (module docstring).
     """
     aggregated = config.mode is SimMode.AGGREGATED
     k = config.k
     n = config.num_frames
     warmup = config.warmup_frames
     block = k * max(1, _BLOCK_FRAMES // k)
-    chunk = min(block, k * max(1, _CHUNK_FRAMES // k))
-    threaded = n > block and _usable_cpus() > 1
+    threaded = n > _THREAD_FRAMES and _usable_cpus() > 1
     draws = _Draws(config)
 
-    # Reused by every block: arrival times, batch service times and queue
-    # waits, and scratch for the Lindley scan, then the gaps between
-    # batches, then (aggregated mode) the frames' buffer waits and sojourns.
-    arrivals = np.empty(min(block, n))
-    service_times = np.empty(arrivals.size // k)
-    waits = np.empty_like(service_times)
-    scratch = np.empty_like(arrivals)
+    # Reused by every block: batch queue waits, and scratch for the Lindley
+    # scan, then the gaps between batches, then (aggregated mode) the
+    # frames' buffer waits and sojourns.
+    scratch = np.empty(min(block, n))
+    waits = np.empty(scratch.size // k)
+    # A threaded run sums each block's gaps into arrival times here, not in
+    # place: stores into the helper's ring would go back to memory before
+    # the helper refills it, and that costs more than the extra buffer.
+    sums = np.empty_like(scratch) if threaded else None
 
     sojourn, buffer_wait, queue_wait, service = (_Moments() for _ in range(4))
     gaps = _Moments()  # between consecutive batch formations (all batches)
-    # Carried between chunks: the last arrival and batch-formation times,
+    # Carried between blocks: the last arrival and batch-formation times,
     # and the service prefix sum and running maximum of the Lindley scan.
     last_arrival = 0.0
     last_mark = math.nan
@@ -455,34 +450,21 @@ def simulate(config: SimConfig) -> SimResult:
     else:
         helper = nullcontext()
     with helper as pool:
-        drawn = _drawn(draws, pool, n, block, chunk, arrivals, service_times)
-        for first in range(0, n, block):
-            size = min(block, n - first)
-            for offset in range(0, size, chunk):
-                inter, ring_service = next(drawn)
-                times = arrivals[offset : offset + inter.size]
-                b = offset // k
-                nb = inter.size // k
-                batch_service = service_times[b : b + nb]
-                if ring_service is not None:
-                    batch_service[:] = ring_service
-                inter[0] += last_arrival  # bitwise the whole-run cumsum
-                np.cumsum(inter, out=times)
-                last_arrival = float(times[-1])
-                if nb == 0:
-                    continue  # only a trailing partial batch
-                ready = times[k - 1 :: k]  # k-th arrival forms the batch
-                _, s_sum, s_peak = _fifo_waits(
-                    ready, batch_service, s_sum, s_peak,
-                    out=waits[b : b + nb], pre=scratch[b : b + nb],
-                )
-
-            n_batches = size // k
-            done = n_batches * k
+        for i, (inter, batch_service) in enumerate(_drawn(draws, pool, n, block)):
+            first = i * block
+            inter[0] += last_arrival  # bitwise the whole-run cumsum
+            arrivals = np.cumsum(inter, out=inter if sums is None else sums[: inter.size])
+            last_arrival = float(arrivals[-1])
+            n_batches = batch_service.size
             if n_batches == 0:
                 continue  # only a trailing partial batch: all in flight
+            done = n_batches * k
             completed += done
-            ready = arrivals[k - 1 : done : k]
+            ready = arrivals[k - 1 :: k]  # k-th arrival forms the batch
+            batch_wait, s_sum, s_peak = _fifo_waits(
+                ready, batch_service, s_sum, s_peak,
+                out=waits[:n_batches], pre=scratch[:n_batches],
+            )
             scratch[0] = ready[0] - last_mark  # NaN before the first batch
             np.subtract(ready[1:], ready[:-1], out=scratch[1:n_batches])
             last_mark = float(ready[-1])
@@ -491,8 +473,8 @@ def simulate(config: SimConfig) -> SimResult:
             if lo == done:
                 continue  # the whole block is warmup
             b0, cut = divmod(lo, k)  # a warmup cut inside batch b0 leaves k - cut frames
-            batch_wait = waits[b0:n_batches]
-            batch_service = service_times[b0:n_batches]
+            batch_wait = batch_wait[b0:]
+            batch_service = batch_service[b0:]
             queue_wait.add_mean(batch_wait, k, cut)
             service.add_mean(batch_service, k, cut)
             if aggregated:

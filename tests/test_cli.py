@@ -128,6 +128,18 @@ def test_threshold_nonconvergence_exits_3(capsys):
     assert row.split(",")[1] == "nan"
 
 
+def test_threshold_nonconvergence_lists_runs_of_k_as_ranges(capsys):
+    # With the default search range, every k from 797 on fails.
+    code, out, err = run(capsys, "threshold", "--k", "2,795,797,798,799,4,1000,1001,1003")
+    assert code == EXIT_NO_CONVERGENCE
+    assert err == "threshold did not converge for k = 797..799, 1000..1001, 1003\n"
+    converged = [line.split(",")[5] for line in out.splitlines()[1:]]
+    assert converged == ["true", "true", "false", "false", "false", "true", "false", "false", "false"]
+    code, out, err = run(capsys, "threshold", "--k", "790..5000")
+    assert code == EXIT_NO_CONVERGENCE
+    assert err == "threshold did not converge for k = 797..5000\n"
+
+
 def test_unknown_rate_exits_2(capsys):
     code, out, err = run(capsys, "gain", "--rate", "7e6", "--k", "2", "--lambda", "100")
     assert code == EXIT_CONFIG

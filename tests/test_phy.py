@@ -61,6 +61,20 @@ def test_profile_for_is_deterministic():
     assert profile_for("b", 5.5e6) == profile_for("b", 5.5e6)
 
 
+def test_profile_for_returns_one_cached_profile_per_preset():
+    first = profile_for("g", 24e6)
+    assert profile_for("g", 24e6) is first
+    assert profile_for(Standard.DOT11G, 24_000_000) is first
+    assert first.bit_rate == 24e6 and first.standard_id is Standard.DOT11G
+    for _ in range(2):  # a failed call caches nothing: it fails every time
+        with pytest.raises(UnsupportedRateError, match="unsupported rate"):
+            profile_for("g", 11e6)
+        with pytest.raises(UnsupportedRateError, match="unknown standard"):
+            profile_for("n", 54e6)
+        with pytest.raises(UnsupportedRateError, match="custom"):
+            profile_for(Standard.CUSTOM, 11e6)
+
+
 def test_gamma_b11_matches_hand_sum():
     breakdown = overhead_gamma(profile_for("b", 11e6))
     assert breakdown.gamma_total == pytest.approx(GAMMA_B11, rel=1e-12)

@@ -499,24 +499,42 @@ def test_superposed_sources_in_blocks(monkeypatch, phy_b11):
     _assert_same_run(*_blocked_and_whole(monkeypatch, config, 4096))
 
 
+def _traced_peak(config):
+    """Peak bytes that numpy and Python allocate during one run."""
+    tracemalloc.start()
+    try:
+        simulate(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_memory_does_not_grow_with_frames(monkeypatch, phy_b11):
     monkeypatch.setattr(sim_module, "_BLOCK_FRAMES", 2048)
-    traffic = TrafficSpec.exponential(1000.0, 800.0)
+    config = SimConfig(
+        mode=SimMode.AGGREGATED, phy=phy_b11, traffic=TrafficSpec.exponential(1000.0, 800.0),
+        seed=2, num_frames=20_000, warmup_frames=100, k=4,
+    )
+    small = _traced_peak(config)
+    assert _traced_peak(replace(config, num_frames=200_000)) < 1.5 * small
 
-    def peak(num_frames):
-        config = SimConfig(
-            mode=SimMode.AGGREGATED, phy=phy_b11, traffic=traffic, seed=2,
-            num_frames=num_frames, warmup_frames=100, k=4,
-        )
-        tracemalloc.start()
-        try:
-            simulate(config)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    small = peak(20_000)
-    assert peak(200_000) < 1.5 * small
+def test_working_set_at_the_default_block_size(monkeypatch, phy_b11):
+    # A few block-sized arrays, not frame-sized ones: 1e6 frames of one
+    # array alone would take 7.6 MiB.
+    monkeypatch.setattr(sim_module, "_usable_cpus", lambda: 1)
+    aggregated = SimConfig(
+        mode=SimMode.AGGREGATED, phy=phy_b11, traffic=TrafficSpec.exponential(2500.0, 800.0),
+        seed=7, num_frames=1_000_000, k=5,
+    )
+    assert _traced_peak(aggregated) < 4 * 2**20
+    # Threaded: the helper's ring of _AHEAD + 1 blocks is most of it.
+    monkeypatch.setattr(sim_module, "_usable_cpus", lambda: 2)
+    standard = SimConfig(
+        mode=SimMode.STANDARD, phy=phy_b11, traffic=TrafficSpec.exponential(1000.0, 800.0),
+        seed=7, num_frames=3_000_000,
+    )
+    assert _traced_peak(standard) < 16 * 2**20
 
 
 def test_interbatch_cv_matches_the_arrival_marks(phy_b11, det800):

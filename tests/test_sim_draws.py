@@ -1,8 +1,8 @@
 """Chunked draws and the helper thread of the simulator.
 
-A run draws its three substreams a chunk at a time, and a run of more than
-one block draws them on a helper thread when two CPUs are usable. These
-tests pin that chunked draws equal one whole draw with numpy's own
+A run draws its three substreams a block at a time, and a run of more than
+2^20 frames draws them on a helper thread when two CPUs are usable. These
+tests pin that draws in blocks equal one whole draw with numpy's own
 samplers, that the thread changes no result, and that no thread outlives
 a call, whether it returns or raises.
 """
@@ -11,6 +11,7 @@ import hashlib
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -113,15 +114,15 @@ def started(monkeypatch):
 
 
 def _small_blocks(monkeypatch, cpus=2):
-    """Blocks of 3000 frames in chunks of 700, on a given CPU count."""
-    monkeypatch.setattr(sim_module, "_BLOCK_FRAMES", 3000)
-    monkeypatch.setattr(sim_module, "_CHUNK_FRAMES", 700)
+    """Blocks of 700 frames and a helper thread above 3000, on a given CPU count."""
+    monkeypatch.setattr(sim_module, "_BLOCK_FRAMES", 700)
+    monkeypatch.setattr(sim_module, "_THREAD_FRAMES", 3000)
     monkeypatch.setattr(sim_module, "_usable_cpus", lambda: cpus)
 
 
 @pytest.mark.parametrize("traffic", FAMILIES, ids=_family_id)
 @pytest.mark.parametrize("mode, k", MODES)
-def test_helper_thread_and_chunks_change_no_result(monkeypatch, phy_b11, traffic, mode, k, started):
+def test_helper_thread_changes_no_result(monkeypatch, phy_b11, traffic, mode, k, started):
     config = SimConfig(
         mode=mode, phy=phy_b11, traffic=traffic, seed=29, num_frames=20_003,
         warmup_frames=4_001, k=k,
@@ -131,16 +132,15 @@ def test_helper_thread_and_chunks_change_no_result(monkeypatch, phy_b11, traffic
     assert len(started) == 1
     monkeypatch.setattr(sim_module, "_usable_cpus", lambda: 1)
     alone = simulate(config)
-    monkeypatch.setattr(sim_module, "_CHUNK_FRAMES", 1 << 16)  # one chunk per block
-    assert threaded == alone == simulate(config)
+    assert threaded == alone
     assert len(started) == 1
 
 
 def test_concurrent_threaded_runs_under_fast_thread_switching(monkeypatch, phy_b11, exp800):
     # Four callers, each with its own helper (more threads than CPUs), hand
-    # off 64-frame chunks while the interpreter switches threads often.
-    monkeypatch.setattr(sim_module, "_BLOCK_FRAMES", 1024)
-    monkeypatch.setattr(sim_module, "_CHUNK_FRAMES", 64)
+    # off 64-frame blocks while the interpreter switches threads often.
+    monkeypatch.setattr(sim_module, "_BLOCK_FRAMES", 64)
+    monkeypatch.setattr(sim_module, "_THREAD_FRAMES", 1024)
     monkeypatch.setattr(sim_module, "_usable_cpus", lambda: 2)
     configs = [
         SimConfig(mode=SimMode.AGGREGATED, phy=phy_b11, traffic=exp800, seed=s, num_frames=12_001, k=3)
@@ -204,12 +204,15 @@ def test_a_failing_draw_ends_the_run_and_its_thread(monkeypatch, phy_b11, exp800
     assert threading.active_count() == before
 
 
-def test_a_one_block_run_or_a_single_cpu_starts_no_thread(monkeypatch, phy_b11, exp800, started):
+def test_a_run_of_at_most_2_20_frames_or_a_single_cpu_starts_no_thread(
+    monkeypatch, phy_b11, exp800, started
+):
     config = SimConfig(mode=SimMode.STANDARD, phy=phy_b11, traffic=exp800, seed=4, num_frames=50_000)
     monkeypatch.setattr(sim_module, "_usable_cpus", lambda: 2)
     simulate(config)  # one default block
+    simulate(replace(config, num_frames=1 << 20))  # 16 default blocks
     _small_blocks(monkeypatch, cpus=1)
-    simulate(config)  # 17 blocks, one CPU
+    simulate(config)  # 72 blocks, one CPU
     assert started == []
 
 
@@ -225,23 +228,23 @@ def test_importing_the_cli_loads_no_thread_pool():
 
 
 _B11 = profile_for("b", 11e6)
-# Runs longer than one block (threaded wherever two CPUs are usable), with
+# Runs longer than 2^20 frames (threaded wherever two CPUs are usable), with
 # the digests of their results from the single-threaded simulator.
 MULTI_BLOCK = {
     "standard-exponential": (
         SimConfig(SimMode.STANDARD, _B11, TrafficSpec.exponential(1146.0, 800.0), 2024, 2_500_000, 10_000),
-        "17c64d5777d693603579f758c38575e827dddd9136d90ae68c0af83a4f2724cd",
+        "1ade964ba4a6fa9e31bf48ea3b958a8f96d60ce920185aaf51f1370ec173a6a0",
     ),
     "aggregated-uniform": (
         SimConfig(
             SimMode.AGGREGATED, _B11, TrafficSpec.uniform_range(3000.0, 400.0, 1200.0),
             2025, 2_200_003, 10_003, k=7,
         ),
-        "1ffc7ba50d5b37a2e81b5672a526efea864b68aefbd903cd7c917c8899121681",
+        "0449fc63da0997ff369c92122d3def98633957bfadc109b55db2b9c8ab824074",
     ),
     "aggregated-deterministic": (
         SimConfig(SimMode.AGGREGATED, _B11, TrafficSpec.deterministic(2500.0, 801.3), 2026, 2_100_000, 5_000, k=5),
-        "50dda7d7076f71edc9e85e1bcf0dda9421703fba3a2c3f6edd63e643f779652e",
+        "116bf47c8de792aac63736a319ae8a0fa63939d03bdd79427a82dc9e84b614d3",
     ),
 }
 
