@@ -11,6 +11,7 @@ import hashlib
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +122,7 @@ def _small_blocks(monkeypatch, cpus=2):
 
 @pytest.mark.parametrize("traffic", FAMILIES, ids=_family_id)
 @pytest.mark.parametrize("mode, k", MODES)
-def test_helper_thread_and_chunks_change_no_result(monkeypatch, phy_b11, traffic, mode, k, started):
+def test_helper_thread_changes_no_result(monkeypatch, phy_b11, traffic, mode, k, started):
     config = SimConfig(
         mode=mode, phy=phy_b11, traffic=traffic, seed=29, num_frames=20_003,
         warmup_frames=4_001, k=k,
@@ -207,17 +208,10 @@ def test_a_one_block_run_or_a_single_cpu_starts_no_thread(monkeypatch, phy_b11, 
     config = SimConfig(mode=SimMode.STANDARD, phy=phy_b11, traffic=exp800, seed=4, num_frames=50_000)
     monkeypatch.setattr(sim_module, "_usable_cpus", lambda: 2)
     simulate(config)  # one default block
+    assert (1 << 20) // sim_module._BLOCK_FRAMES == 16
+    simulate(replace(config, num_frames=1 << 20))  # 16 default blocks, not above the thread threshold
     _small_blocks(monkeypatch, cpus=1)
     simulate(config)  # 72 blocks, one CPU
-    assert started == []
-
-
-def test_a_16_block_run_of_2_20_frames_starts_no_thread(monkeypatch, phy_b11, exp800, started):
-    # On two CPUs a helper costs such a run more in hand-offs than it gains.
-    monkeypatch.setattr(sim_module, "_usable_cpus", lambda: 2)
-    assert (1 << 20) // sim_module._BLOCK_FRAMES == 16
-    config = SimConfig(mode=SimMode.STANDARD, phy=phy_b11, traffic=exp800, seed=4, num_frames=1 << 20)
-    simulate(config)
     assert started == []
 
 
