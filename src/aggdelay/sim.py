@@ -425,14 +425,13 @@ def simulate(config: SimConfig) -> SimResult:
     threaded = n > _THREAD_FRAMES and _usable_cpus() > 1
     draws = _Draws(config)
 
-    # Reused by every block: arrival times, batch queue waits, and scratch
-    # for the Lindley scan, then the gaps between batches, then (aggregated
-    # mode) the frames' buffer waits and sojourns. Arrival times are summed
-    # here, not in place over the drawn gaps: with a helper thread those are
-    # its ring, and stores into it measured slower.
-    arrivals = np.empty(min(block, n))
-    scratch = np.empty_like(arrivals)
-    waits = np.empty(arrivals.size // k)
+    # Reused by every block: batch queue waits, and scratch for the Lindley
+    # scan, then the gaps between batches, then (aggregated mode) the
+    # frames' buffer waits and sojourns. Arrival times are summed in place
+    # over the drawn gaps: summing into one more block-sized buffer measured
+    # slower on one thread.
+    scratch = np.empty(min(block, n))
+    waits = np.empty(scratch.size // k)
 
     sojourn, buffer_wait, queue_wait, service = (_Moments() for _ in range(4))
     gaps = _Moments()  # between consecutive batch formations (all batches)
@@ -452,14 +451,14 @@ def simulate(config: SimConfig) -> SimResult:
         for i, (inter, batch_service) in enumerate(_drawn(draws, pool, n, block)):
             first = i * block
             inter[0] += last_arrival  # bitwise the whole-run cumsum
-            np.cumsum(inter, out=arrivals[: inter.size])
-            last_arrival = float(arrivals[inter.size - 1])
+            arrivals = np.cumsum(inter, out=inter)
+            last_arrival = float(arrivals[-1])
             n_batches = batch_service.size
             if n_batches == 0:
                 continue  # only a trailing partial batch: all in flight
             done = n_batches * k
             completed += done
-            ready = arrivals[k - 1 : done : k]  # k-th arrival forms the batch
+            ready = arrivals[k - 1 :: k]  # k-th arrival forms the batch
             batch_wait, s_sum, s_peak = _fifo_waits(
                 ready, batch_service, s_sum, s_peak,
                 out=waits[:n_batches], pre=scratch[:n_batches],
