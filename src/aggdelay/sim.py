@@ -29,9 +29,9 @@ busy period. A one-block run reduces sojourn and buffer wait exactly as
 and service means are frame-weighted batch means, equal up to rounding.
 
 A run of more than 2^20 frames, in a process allowed at least two CPUs,
-draws its substreams on one helper thread, up to 8 blocks ahead into a
-ring of reused buffers, while the calling thread runs the cumsum, the
-scan and the block reductions. Each substream is still drawn by one thread
+draws its substreams on one helper thread, one block ahead into a second
+pair of buffers, while the calling thread runs the cumsum, the scan and
+the block reductions of the block before. Each substream is still drawn by one thread
 in frame order, and a draw in blocks equals one whole draw value for
 value, so no output byte depends on the thread or the CPU count. A shorter
 run stays on the calling thread: on two CPUs its hand-offs cost more than
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -203,18 +202,14 @@ def _sample_payloads(
     return out
 
 
-def _sample_backoffs(
-    rng: np.random.Generator, phy: PhyProfile, n: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """n backoff times: slot * U{0,...,cw}, or the literal override; in ``out`` if given."""
-    if out is None:
-        out = np.empty(n)
+def _sample_backoffs(rng: np.random.Generator, phy: PhyProfile, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with backoff times: slot * U{0,...,cw}, or the literal override."""
     if phy.backoff_override is not None:
         out.fill(phy.backoff_override)
         return out
     # int32 draws equal the int64 ones value for value, and cost half as much
     dtype = np.int32 if phy.cw < np.iinfo(np.int32).max else np.int64
-    return np.multiply(rng.integers(0, phy.cw + 1, size=n, dtype=dtype), phy.slot, out=out)
+    return np.multiply(rng.integers(0, phy.cw + 1, size=out.size, dtype=dtype), phy.slot, out=out)
 
 
 class _Draws:
@@ -244,7 +239,7 @@ class _Draws:
             self.payload_time = float(row.sum()) / config.phy.bit_rate
 
     def fill(self, gaps: np.ndarray, service: np.ndarray) -> None:
-        _sample_backoffs(self.backoffs, self.phy, service.size, out=service)
+        _sample_backoffs(self.backoffs, self.phy, service)
         service += self.gamma
         if self.payload_time is not None:
             service += self.payload_time
@@ -264,30 +259,31 @@ def _drawn(draws: _Draws, pool, n: int, block: int):
     Yields the block's inter-arrival times and its whole batches' service
     times, in buffers the caller may overwrite until it asks for the next
     block. Without a pool the calling thread draws each block when asked,
-    into one reused pair of buffers. With one, the pool's thread draws up to
-    ``_AHEAD`` blocks ahead into a ring of reused buffers, so that it can go
-    on while the caller still reduces the block before; a ring slot is
-    refilled only once the caller has asked for the next block.
+    into one reused pair of buffers. With one, the pool's thread draws one
+    block ahead into a second pair, so that it can go on while the caller
+    still reduces the block before: asking for block i releases the pair
+    of block i - 1, which then takes the draws of block i + 1.
     """
-    slots = _AHEAD + 1 if pool else 1
-    ring_gaps = np.empty((slots, min(block, n)))
-    ring_service = np.empty((slots, ring_gaps.shape[1] // draws.k))
-    pending = deque()
-    for i, first in enumerate(range(0, n, block)):
-        size = min(block, n - first)
-        drawn = ring_gaps[i % slots, :size], ring_service[i % slots, : size // draws.k]
-        if pool is None:
-            draws.fill(*drawn)
-            yield drawn
-            continue
-        pending.append((pool.submit(draws.fill, *drawn), drawn))
-        if len(pending) > _AHEAD:
-            future, drawn = pending.popleft()
-            future.result()
-            yield drawn
-    for future, drawn in pending:
-        future.result()
-        yield drawn
+    slots = 2 if pool else 1
+    gaps = np.empty((slots, min(block, n)))
+    service = np.empty((slots, gaps.shape[1] // draws.k))
+
+    def buffers(i):
+        size = min(block, n - i * block)
+        return gaps[i % slots, :size], service[i % slots, : size // draws.k]
+
+    count = -(-n // block)
+    if pool is None:
+        for i in range(count):
+            draws.fill(*buffers(i))
+            yield buffers(i)
+        return
+    pending = pool.submit(draws.fill, *buffers(0))
+    for i in range(count):
+        pending.result()
+        if i + 1 < count:
+            pending = pool.submit(draws.fill, *buffers(i + 1))
+        yield buffers(i)
 
 
 def _usable_cpus() -> int:
@@ -303,8 +299,8 @@ def _fifo_waits(
     service: np.ndarray,
     s0: float,
     m0: float,
-    out: np.ndarray | None = None,
-    pre: np.ndarray | None = None,
+    out: np.ndarray,
+    pre: np.ndarray,
 ) -> tuple[np.ndarray, float, float]:
     """Queue waits of a FIFO single server fed jobs in index order.
 
@@ -315,12 +311,10 @@ def _fifo_waits(
     never negative. A run in pieces continues both scans from the earlier
     jobs' service sum ``s0`` (0 at the start) and running maximum ``m0``
     (-inf), which keeps every wait bitwise equal to the whole-run scan.
-    Returns the waits (in ``out`` if given; ``pre`` is scratch) and the
-    carries for the next piece. ``fmax`` is the faster running maximum;
-    ``pre`` holds no NaN, as every input is finite.
+    Returns the waits (in ``out``; ``pre`` is scratch) and the carries for
+    the next piece. ``fmax`` is the faster running maximum; ``pre`` holds
+    no NaN, as every input is finite.
     """
-    if pre is None:
-        pre = np.empty_like(service)
     # S_{i-1}, then ready_i - S_{i-1}
     pre[0] = s0
     pre[1:] = service[:-1]
@@ -360,7 +354,7 @@ class _Moments:
         x *= x
         self.merge(n, mean, float(np.sum(x)))
 
-    def add_mean(self, x: np.ndarray, weight: int = 1, cut: int = 0) -> None:
+    def add_mean(self, x: np.ndarray, weight: int, cut: int) -> None:
         if cut:
             self.merge(weight - cut, float(x[0]), math.nan)
             x = x[1:]
@@ -397,8 +391,6 @@ _BLOCK_FRAMES = 1 << 16
 #: A run of more than this many frames draws on a helper thread where two
 #: CPUs are usable; a shorter one loses more to the hand-offs than it gains.
 _THREAD_FRAMES = 1 << 20
-#: Blocks a helper thread may draw ahead of the scan.
-_AHEAD = 8
 
 
 def simulate(config: SimConfig) -> SimResult:
@@ -414,8 +406,8 @@ def simulate(config: SimConfig) -> SimResult:
     maximum, and the running moments cross a block boundary, so memory
     does not grow with ``num_frames``. Queue-wait and service means are
     taken over batches, each weighted by its measured frames. A run of
-    more than ``_THREAD_FRAMES`` frames draws on a helper thread when two
-    CPUs are usable (module docstring).
+    more than ``_THREAD_FRAMES`` frames draws one block ahead on a helper
+    thread when two CPUs are usable (module docstring).
     """
     aggregated = config.mode is SimMode.AGGREGATED
     k = config.k

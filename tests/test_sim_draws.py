@@ -1,16 +1,19 @@
 """Draws in blocks and the helper thread of the simulator.
 
 A run draws its three substreams a block at a time, and a run of more than
-2^20 frames draws them on a helper thread when two CPUs are usable. These
-tests pin that draws in blocks equal one whole draw with numpy's own
-samplers, that the thread changes no result, and that no thread outlives
-a call, whether it returns or raises.
+2^20 frames draws them on a helper thread, one block ahead into a second
+pair of buffers, when two CPUs are usable. These tests pin that draws in
+blocks equal one whole draw with numpy's own samplers, that the helper
+never refills a block the caller still holds, that the thread changes no
+result, and that no thread outlives a call, whether it returns or raises.
 """
 
 import hashlib
 import subprocess
 import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -97,6 +100,28 @@ def test_deterministic_payload_time_is_the_sum_of_a_batch_of_frames(k):
     frames = np.full(3 * k, traffic.payload_mean)
     per_batch = frames.reshape(3, k).sum(axis=1) / config.phy.bit_rate
     assert (per_batch == sim_module._Draws(config).payload_time).all()
+
+
+def test_the_helper_never_refills_a_block_the_caller_holds(phy_b11, exp800):
+    # 21 blocks of 300 frames, the last a partial batch of 7. After each
+    # block is handed over, the helper has time to draw ahead: the block
+    # must stay as it was handed over, and the blocks in order must be the
+    # ones the calling thread draws alone.
+    config = SimConfig(
+        mode=SimMode.AGGREGATED, phy=phy_b11, traffic=exp800, seed=8, num_frames=6_007, k=3
+    )
+    held = []
+    with ThreadPoolExecutor(1) as pool:
+        for gaps, service in sim_module._drawn(sim_module._Draws(config), pool, 6_007, 300):
+            copy = gaps.copy(), service.copy()
+            time.sleep(0.005)
+            assert np.array_equal(gaps, copy[0]) and np.array_equal(service, copy[1])
+            held.append(copy)
+    alone = sim_module._drawn(sim_module._Draws(config), None, 6_007, 300)
+    pairs = [(gaps.copy(), service.copy()) for gaps, service in alone]
+    assert len(held) == len(pairs) == 21
+    for (gaps, service), (want_gaps, want_service) in zip(held, pairs):
+        assert np.array_equal(gaps, want_gaps) and np.array_equal(service, want_service)
 
 
 @pytest.fixture
