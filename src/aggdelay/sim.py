@@ -31,12 +31,12 @@ and service means are frame-weighted batch means, equal up to rounding.
 A run of more than 2^20 frames, in a process allowed at least two CPUs,
 draws its substreams on one helper thread, one block ahead into a second
 pair of buffers, while the calling thread runs the cumsum, the scan and
-the block reductions of the block before. Each substream is still drawn by one thread
-in frame order, and a draw in blocks equals one whole draw value for
-value, so no output byte depends on the thread or the CPU count. A shorter
-run stays on the calling thread: on two CPUs its hand-offs cost more than
-the overlap gains. The helper ends with the call, whether it returns or
-raises.
+the reductions of the block before. Each substream is still drawn by one
+thread in frame order, and a draw in blocks equals one whole draw value
+for value, so no output byte depends on the thread or the CPU count. A
+shorter run stays on the calling thread: on two CPUs its hand-offs cost
+more than the overlap gains. The helper ends with the call, whether it
+returns or raises.
 """
 
 from __future__ import annotations
@@ -262,7 +262,9 @@ def _drawn(draws: _Draws, pool, n: int, block: int):
     into one reused pair of buffers. With one, the pool's thread draws one
     block ahead into a second pair, so that it can go on while the caller
     still reduces the block before: asking for block i releases the pair
-    of block i - 1, which then takes the draws of block i + 1.
+    of block i - 1, which then takes the draws of block i + 1. That fill is
+    queued before block i is awaited, so the thread never idles between
+    two fills.
     """
     slots = 2 if pool else 1
     gaps = np.empty((slots, min(block, n)))
@@ -280,9 +282,10 @@ def _drawn(draws: _Draws, pool, n: int, block: int):
         return
     pending = pool.submit(draws.fill, *buffers(0))
     for i in range(count):
-        pending.result()
+        drawn = pending
         if i + 1 < count:
             pending = pool.submit(draws.fill, *buffers(i + 1))
+        drawn.result()
         yield buffers(i)
 
 
