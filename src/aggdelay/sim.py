@@ -282,10 +282,10 @@ def _drawn(draws: _Draws, pool, n: int, block: int):
         return
     pending = pool.submit(draws.fill, *buffers(0))
     for i in range(count):
-        drawn = pending
+        current = pending
         if i + 1 < count:
             pending = pool.submit(draws.fill, *buffers(i + 1))
-        drawn.result()
+        current.result()
         yield buffers(i)
 
 

@@ -103,10 +103,10 @@ def test_deterministic_payload_time_is_the_sum_of_a_batch_of_frames(k):
 
 
 def test_the_helper_never_refills_a_block_the_caller_holds(phy_b11, exp800):
-    # 21 blocks of 300 frames, the last a partial batch of 7. After each
-    # block is handed over, the helper has time to draw ahead: the block
-    # must stay as it was handed over, and the blocks in order must be the
-    # ones the calling thread draws alone.
+    # 21 blocks of 300 frames, the last of 7 (two batches and one frame).
+    # After each block is handed over, the helper has time to draw ahead:
+    # the block must stay as it was handed over, and the blocks in order
+    # must be the ones the calling thread draws alone.
     config = SimConfig(
         mode=SimMode.AGGREGATED, phy=phy_b11, traffic=exp800, seed=8, num_frames=6_007, k=3
     )
