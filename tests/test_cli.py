@@ -452,16 +452,19 @@ def test_simulate_invalid_config_exits_2(capsys):
 def test_simulation_runtime_failure_exits_4(capsys, monkeypatch):
     import aggdelay.cli as cli_mod
 
-    def boom(config):
+    def boom(*args):
         raise RuntimeError("induced failure")
 
-    monkeypatch.setattr(cli_mod, "simulate", boom)
-    code, out, err = run(
-        capsys, "simulate", "--lambda", "100", "--frames", "100", "--warmup", "0"
-    )
-    assert code == 4
-    assert out == ""
-    assert "induced failure" in err
+    for command, target, words in (("simulate", "simulate", "simulation failed: "),
+                                   ("validate", "validate_against_model", "validation failed: ")):
+        monkeypatch.setattr(cli_mod, target, boom)
+        code, out, err = run(
+            capsys, command, "--lambda", "100", "--frames", "100", "--warmup", "0"
+        )
+        assert code == 4
+        assert out == ""
+        assert "induced failure" in err
+        assert err.startswith(words)
 
 
 def test_validate_json_report(capsys):

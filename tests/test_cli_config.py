@@ -158,16 +158,33 @@ def test_unknown_grid_key_is_rejected():
         parse_run_config({"lambda": {"min": 1, "max": 2, "points": 3, "step": 1}})
 
 
+FIG3 = ("--k", "2..10", "--lambda", "1:1600:200")
+GEOMETRIC = ("--grid-kind", "geometric")
+
+
 @pytest.mark.parametrize(
-    "payload",
-    [("--payload-uniform", "400:1200"), ("--payload-empirical", "400,1200")],
+    "cfg, argv, same_as",
+    [
+        # a payload form overrides the preset's family
+        (None, ("--preset", "fig3", "--payload-uniform", "400:1200"),
+         (*FIG3, "--payload-uniform", "400:1200")),
+        (None, ("--preset", "fig3", "--payload-empirical", "400,1200"),
+         (*FIG3, "--payload-empirical", "400,1200")),
+        # --grid-kind retypes a preset or config file grid
+        (None, ("--preset", "fig3", *GEOMETRIC), (*FIG3, *GEOMETRIC)),
+        ({"lambda": {"min": 50, "max": 2e4, "points": 9}}, ("--k", "3", *GEOMETRIC),
+         ("--k", "3", "--lambda", "50:20000:9", *GEOMETRIC)),
+        # ... and is ignored next to a single rate, from a flag or a config file, or no lambda
+        (None, ("--k", "3", "--lambda", "100", *GEOMETRIC), ("--k", "3", "--lambda", "100")),
+        ({"lambda": 100}, ("--k", "3", *GEOMETRIC), ("--k", "3", "--lambda", "100")),
+        (None, ("--k", "3", *GEOMETRIC), ("--k", "3")),
+    ],
 )
-def test_payload_form_overrides_the_preset_family(capsys, payload):
-    code, with_preset, err = run(capsys, "sweep", "--preset", "fig3", *payload)
-    assert code == EXIT_OK, err
-    code, without, _ = run(capsys, "sweep", "--k", "2..10", "--lambda", "1:1600:200", *payload)
-    assert code == EXIT_OK
-    assert with_preset == without
+def test_sweep_flags_equal_the_run_they_spell_out(tmp_path, capsys, cfg, argv, same_as):
+    config = () if cfg is None else ("--config", config_file(tmp_path, cfg))
+    code, out, err = run(capsys, "sweep", *config, *argv)
+    assert code == EXIT_OK or err.startswith("error: sweep needs --lambda"), err
+    assert (code, out, err) == run(capsys, "sweep", *same_as)
 
 
 def test_payload_family_flag_keeps_the_preset_mean(capsys):

@@ -243,17 +243,24 @@ def bisection_threshold(k, phy, traffic, form, rel_tol=1e-12, scan_points=64):
 
 
 THRESHOLD_KS = (*range(2, 21), *range(30, 151, 20))
+# 99 payloads of 100 bits and one of 1e6: the break-even cubic of many of
+# these solves has one real root, which comes from the Cardano form.
+HEAVY_TAIL = TrafficSpec.empirical(100.0, [100.0] * 99 + [1e6])
 
 
 @pytest.mark.parametrize("standard, rate", PRESET_PHYS)
 def test_closed_form_threshold_matches_bisection(standard, rate):
     phy = profile_for(standard, rate)
     worst = 0.0
-    for traffic in families():
+    for traffic in [*families(), HEAVY_TAIL]:
         for form in PKForm:
             for k in THRESHOLD_KS:
                 want = bisection_threshold(k, phy, traffic, form)
                 result = lambda_threshold(k, phy, traffic, form)
+                if math.isnan(want):  # no root below mu(1) for either method
+                    assert traffic is HEAVY_TAIL and not result.converged, (k, form)
+                    assert math.isnan(result.lambda_star)
+                    continue
                 assert result.converged and result.note == "", (k, form, traffic)
                 worst = max(worst, abs(result.lambda_star - want) / want)
                 low, high = result.bracket

@@ -297,6 +297,9 @@ def test_traffic_spec_moment_edges():
     mean = 800.0
     det, exp_, uni, emp = (PayloadFamily.DETERMINISTIC, PayloadFamily.EXPONENTIAL,
                            PayloadFamily.UNIFORM_RANGE, PayloadFamily.EMPIRICAL)
+    for var in (-1.0, math.inf):
+        with pytest.raises(ValueError, match="payload_variance must be non-negative and finite"):
+            _spec(exp_, mean, var)
     with pytest.raises(ValueError, match="deterministic payloads require zero variance"):
         _spec(det, mean, 1e-300)
     _spec(exp_, mean, mean**2 * (1.0 + 1e-10))
