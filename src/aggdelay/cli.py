@@ -22,7 +22,7 @@ from functools import cache
 from itertools import chain, repeat
 
 from .model import PKForm, TrafficSpec
-from .phy import RATES_11B, RATES_11G, PhyProfile, Standard, overhead_gamma, profile_for
+from .phy import PRESET_STANDARDS, PhyProfile, Standard, overhead_gamma, profile_for
 from .presets import preset
 from .sim import SimConfig, SimMode, replications, simulate, validate_against_model
 from .solver import GainGrid, SearchParams, gain_grid, lambda_thresholds, optimal_k
@@ -345,7 +345,7 @@ FLAGS = (
     ("--dump-config", RUNS, dict(action="store_true", help="print the config and exit"), None),
     ("--format", ("profiles", *RUNS), dict(choices=("csv", "json")), "output.format"),
     ("--output", ("profiles", *RUNS), dict(metavar="PATH"), "output.path"),
-    ("--standard", RUNS, dict(choices=("b", "g")), "phy.standard"),
+    ("--standard", RUNS, dict(choices=tuple(s.value for s in PRESET_STANDARDS)), "phy.standard"),
     ("--rate", RUNS, dict(type=float, help="PHY rate, bit/s"), "phy.rate_bps"),
     ("--form", RUNS, dict(choices=tuple(f.value for f in PKForm)), "form"),
     ("--payload-mean-bits", RUNS, dict(type=float), "traffic.payload_mean_bits"),
@@ -363,7 +363,7 @@ FLAGS = (
     ("--k", SIM, dict(type=int, help="batch size (aggregated mode)"), "sim.k"),
     ("--lambda", ("gain", "optimal-k", *SIM), dict(type=float, help="rate (pps)"), "lambda"),
     ("--lambda", ("sweep",), dict(type=_grid_or_rate, help="MIN:MAX:POINTS or a rate"), "lambda"),
-    ("--grid-kind", ("sweep",), dict(choices=("linear", "geometric")), "lambda.kind"),
+    ("--grid-kind", ("sweep",), dict(choices=("linear", "geometric")), None),
     # --lambda-min, --lambda-max, --rel-tol
     *((f"--{key.replace('_', '-')}", ("threshold",), dict(type=kind), f"search.{key}")
       for key, (_, kind) in SCHEMA["search"].items()),
@@ -437,8 +437,6 @@ def _config_from_args(command: str, args: argparse.Namespace) -> dict:
         node = flags
         for part in parents:
             node = node.setdefault(part, {})
-        if not isinstance(node, dict):
-            continue  # --grid-kind next to a single --lambda rate
         if isinstance(value, dict):
             node.setdefault(key, {}).update(value)
         else:
@@ -453,52 +451,40 @@ def _config_from_args(command: str, args: argparse.Namespace) -> dict:
     # 2: a payload mean flag drops the base mean in either unit.
     if _MEANS.keys() & flags.get("traffic", {}).keys():
         cfg["traffic"] = {k: v for k, v in (cfg.get("traffic") or {}).items() if k not in _MEANS}
-    # 3: --grid-kind alone retypes a base grid (which a --lambda grid merges into) or is ignored.
-    lam = flags.get("lambda")
-    if isinstance(lam, dict) and "min" not in lam and not isinstance(cfg.get("lambda"), dict):
-        del flags["lambda"]
-    # 4: simulate and validate write JSON unless told otherwise.
+    # 3: simulate and validate write JSON unless told otherwise.
     if command in SIM and not (cfg.get("output") or {}).get("format"):
         flags.setdefault("output", {}).setdefault("format", "json")
     # threshold always has a search section, simulate and validate a sim one.
     section = {"threshold": "search", "simulate": "sim", "validate": "sim"}.get(command)
     if section:
         flags.setdefault(section, {})
-    return _merge(cfg, flags)
+    cfg = _merge(cfg, flags)
+    # --grid-kind retypes the merged grid; next to a single rate or no rate it does nothing.
+    if getattr(args, "grid_kind", None) and isinstance(cfg.get("lambda"), dict):
+        cfg["lambda"] = {**cfg["lambda"], "kind": args.grid_kind}
+    return cfg
 
 
-# json.dumps(indent=2) writes in pure Python; for a list of flat records, json's C encoder
-# lays out each record's body the same way, faster, and _json_list lays out the list.
-_flat_json = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": "), allow_nan=False).encode
-_JSON_SEP = "\n  },\n  {\n    "
 _BOOL_CELL = ("false", "true").__getitem__
-
-
-def _json_list(items: list) -> str:
-    return "[\n  {\n    " + _JSON_SEP.join(items) + "\n  }\n]\n"
 
 
 def _render(records, out_format: str) -> str:
     """CSV (header: the record keys, cells: fmt) or JSON text of a dict or a list of dicts
     with the same keys. CSV rows fill one ``%`` template: a float column's cells are
     ``%.12g``, an int or str column's ``%s``, other columns' ``fmt`` of each value."""
+    if out_format == "json":
+        data = _json_value(records) if isinstance(records, dict) else list(map(_json_value, records))
+        return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
     rows = [records] if isinstance(records, dict) else records
-    if out_format == "csv":
-        cells, columns = [], []
-        for column in zip(*(row.values() for row in rows)):
-            kinds = set(map(type, column))
-            kind = kinds.pop() if len(kinds) == 1 else None
-            cells.append("%.12g" if kind is float else "%s")
-            columns.append(column if kind in (float, int, str) else
-                           map(_BOOL_CELL if kind is bool else fmt, column))
-        body = "\n".join(repeat(",".join(cells), len(rows)))
-        return f"{','.join(rows[0])}\n{body % tuple(chain.from_iterable(zip(*columns)))}\n"
-    rows = list(map(_json_value, rows))
-    flat = rows and not any(isinstance(v, (dict, list, tuple)) for v in rows[0].values())
-    if isinstance(records, list) and flat:
-        return _json_list([_flat_json(row)[1:-1] for row in rows])
-    data = rows[0] if isinstance(records, dict) else rows
-    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    cells, columns = [], []
+    for column in zip(*(row.values() for row in rows)):
+        kinds = set(map(type, column))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        cells.append("%.12g" if kind is float else "%s")
+        columns.append(column if kind in (float, int, str) else
+                       map(_BOOL_CELL if kind is bool else fmt, column))
+    body = "\n".join(repeat(",".join(cells), len(rows)))
+    return f"{','.join(rows[0])}\n{body % tuple(chain.from_iterable(zip(*columns)))}\n"
 
 
 SWEEP_HEADER = (
@@ -509,6 +495,7 @@ SWEEP_HEADER = (
 _SWEEP_FIELDS = {column: "lam" if column == "lambda" else column.removesuffix("_s")
                  for column in SWEEP_HEADER.split(",")}
 _JSON_NONFINITE = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
+_JSON_SEP = "\n  },\n  {\n    "  # between two records of json.dumps(indent=2)
 # One sweep JSON record's body, keys sorted: {k} and {mean} are filled once per k, % the rest.
 _JSON_ROW = ",\n    ".join(f'"{name}": ' + {"k": "{k}", "service_mean_s": "{mean}"}.get(name, "%s")
                            for name in sorted(_SWEEP_FIELDS))
@@ -546,7 +533,7 @@ def sweep_json(grid: GainGrid) -> str:
             c.erlang_wait, c.gain, c.queue_wait, c.rho, c.system_time))
         stable = map(_BOOL_CELL, c.stable[i].tolist())
         items.append(_JSON_SEP.join(map(line, zip(erlang, gain, lam, wait, rho, stable, total))))
-    return _json_list(items)
+    return "[\n  {\n    " + _JSON_SEP.join(items) + "\n  }\n]\n"
 
 
 def emit(records, out_format: str, path: str | None) -> None:
@@ -564,7 +551,7 @@ def emit(records, out_format: str, path: str | None) -> None:
 
 def _run_profiles(rc: RunConfig) -> int:
     records = []
-    for std, rates in ((Standard.DOT11B, RATES_11B), (Standard.DOT11G, RATES_11G)):
+    for std, (rates, *_) in PRESET_STANDARDS.items():
         for rate in rates:
             profile = profile_for(std, rate)
             records.append({

@@ -20,9 +20,12 @@ class Standard(Enum):
     CUSTOM = "custom"
 
 
-# Rates defined by each standard, bits/second.
-RATES_11B = (1e6, 2e6, 5.5e6, 11e6)
-RATES_11G = (6e6, 9e6, 12e6, 18e6, 24e6, 36e6, 48e6, 54e6)
+# Each standard with presets: its rates (bit/s), slot, DIFS and preamble (s).
+# The 802.11g presets keep the 20 us backoff slot of the 802.11b ones.
+PRESET_STANDARDS = {
+    Standard.DOT11B: ((1e6, 2e6, 5.5e6, 11e6), 20e-6, 50e-6, 96e-6),
+    Standard.DOT11G: ((6e6, 9e6, 12e6, 18e6, 24e6, 36e6, 48e6, 54e6), 20e-6, 28e-6, 22.1e-6),
+}
 
 
 class UnsupportedRateError(ValueError):
@@ -109,11 +112,10 @@ class OverheadBreakdown:
 def profile_for(standard: Standard | str, rate: float) -> PhyProfile:
     """Preset profile for a supported standard and rate.
 
-    802.11b presets: slot 20 us, DIFS 50 us, preamble 96 us, CW 16.
-    802.11g presets: DIFS 28 us, preamble 22.1 us, CW 16; the slot is the
-    same 20 us backoff unit the 802.11b presets use.
-    Both fill in SIFS 10 us, a 192-bit MAC header, 32-bit CRC, and a
-    112-bit ACK sent at the data rate behind one preamble.
+    ``PRESET_STANDARDS`` gives each standard's rates, slot, DIFS and
+    preamble. Every preset has CW 16 and fills in SIFS 10 us, a 192-bit MAC
+    header, 32-bit CRC, and a 112-bit ACK sent at the data rate behind one
+    preamble.
 
     Raises :class:`UnsupportedRateError` for an unknown standard or a rate
     outside the standard's rate set. Each of the twelve presets is built
@@ -123,9 +125,9 @@ def profile_for(standard: Standard | str, rate: float) -> PhyProfile:
         try:
             standard = Standard(standard)
         except ValueError:
+            supported = ", ".join(repr(known.value) for known in PRESET_STANDARDS)
             raise UnsupportedRateError(
-                f"unknown standard {standard!r}; supported: "
-                f"{Standard.DOT11B.value!r}, {Standard.DOT11G.value!r}"
+                f"unknown standard {standard!r}; supported: {supported}"
             ) from None
     if standard is Standard.CUSTOM:
         raise UnsupportedRateError(
@@ -136,12 +138,7 @@ def profile_for(standard: Standard | str, rate: float) -> PhyProfile:
 
 @functools.cache  # holds at most the twelve presets: a failed call caches nothing
 def _preset(standard: Standard, rate: float) -> PhyProfile:
-    if standard is Standard.DOT11B:
-        rates = RATES_11B
-        slot, difs, preamble = 20e-6, 50e-6, 96e-6
-    else:
-        rates = RATES_11G
-        slot, difs, preamble = 20e-6, 28e-6, 22.1e-6
+    rates, slot, difs, preamble = PRESET_STANDARDS[standard]
     if rate not in rates:
         valid = ", ".join(f"{r:g}" for r in rates)
         raise UnsupportedRateError(

@@ -12,12 +12,14 @@ experiment definitions leave open; use ``caption_only_overhead`` to
 bound the influence of the filled-in overhead terms.
 
 - ``fig3``:          gain-vs-load sweep, 802.11b at 11 Mbit/s, k = 2..10.
-- ``fig4-<mbps>``:   break-even rate per k = 2..20 for one 802.11b rate
-                     (1, 2, 5.5, 11).
-- ``fig5-<mbps>``:   the same for one 802.11g rate (6..54).
+- ``fig4-<mbps>``:   break-even rate per k = 2..20 for one 802.11b rate of
+                     ``phy.PRESET_STANDARDS`` (``fig4-1`` .. ``fig4-11``).
+- ``fig5-<mbps>``:   the same for one 802.11g rate (``fig5-6`` .. ``fig5-54``).
 """
 
 from __future__ import annotations
+
+from .phy import PRESET_STANDARDS
 
 _TRAFFIC_800_BITS = {
     "payload_family": "deterministic",
@@ -35,32 +37,18 @@ PRESETS: dict[str, dict] = {
     },
 }
 
-for _mbps, _rate in (("1", 1e6), ("2", 2e6), ("5.5", 5.5e6), ("11", 11e6)):
-    PRESETS[f"fig4-{_mbps}"] = {
-        "phy": {"standard": "b", "rate_bps": _rate},
+# Figure 4 gives lambda*(k) for each 802.11b rate, figure 5 for each 802.11g rate.
+PRESETS.update(
+    (f"{figure}-{rate / 1e6:g}", {
+        "phy": {"standard": standard.value, "rate_bps": rate},
         "traffic": dict(_TRAFFIC_800_BITS),
         "form": "deterministic-service",
         "k": "2..20",
         "output": {"format": "csv", "path": None},
-    }
-
-for _mbps, _rate in (
-    ("6", 6e6),
-    ("9", 9e6),
-    ("12", 12e6),
-    ("18", 18e6),
-    ("24", 24e6),
-    ("36", 36e6),
-    ("48", 48e6),
-    ("54", 54e6),
-):
-    PRESETS[f"fig5-{_mbps}"] = {
-        "phy": {"standard": "g", "rate_bps": _rate},
-        "traffic": dict(_TRAFFIC_800_BITS),
-        "form": "deterministic-service",
-        "k": "2..20",
-        "output": {"format": "csv", "path": None},
-    }
+    })
+    for figure, (standard, (rates, *_)) in zip(("fig4", "fig5"), PRESET_STANDARDS.items())
+    for rate in rates
+)
 
 
 def preset(name: str) -> dict:

@@ -365,8 +365,6 @@ class _Moments:
             self.merge(x.size * weight, float(np.sum(x) / x.size), math.nan)
 
     def merge(self, n: int, mean: float, m2: float) -> None:
-        if n == 0:
-            return
         if self.n == 0:
             self.n, self.mean, self.m2 = n, mean, m2
             return
