@@ -163,27 +163,30 @@ GEOMETRIC = ("--grid-kind", "geometric")
 
 
 @pytest.mark.parametrize(
-    "cfg, argv, same_as",
+    "cfg, argv, same_as, exit_code",
     [
         # a payload form overrides the preset's family
         (None, ("--preset", "fig3", "--payload-uniform", "400:1200"),
-         (*FIG3, "--payload-uniform", "400:1200")),
+         (*FIG3, "--payload-uniform", "400:1200"), EXIT_OK),
         (None, ("--preset", "fig3", "--payload-empirical", "400,1200"),
-         (*FIG3, "--payload-empirical", "400,1200")),
+         (*FIG3, "--payload-empirical", "400,1200"), EXIT_OK),
         # --grid-kind retypes a preset or config file grid
-        (None, ("--preset", "fig3", *GEOMETRIC), (*FIG3, *GEOMETRIC)),
+        (None, ("--preset", "fig3", *GEOMETRIC), (*FIG3, *GEOMETRIC), EXIT_OK),
         ({"lambda": {"min": 50, "max": 2e4, "points": 9}}, ("--k", "3", *GEOMETRIC),
-         ("--k", "3", "--lambda", "50:20000:9", *GEOMETRIC)),
+         ("--k", "3", "--lambda", "50:20000:9", *GEOMETRIC), EXIT_OK),
         # ... and is ignored next to a single rate, from a flag or a config file, or no lambda
-        (None, ("--k", "3", "--lambda", "100", *GEOMETRIC), ("--k", "3", "--lambda", "100")),
-        ({"lambda": 100}, ("--k", "3", *GEOMETRIC), ("--k", "3", "--lambda", "100")),
-        (None, ("--k", "3", *GEOMETRIC), ("--k", "3")),
+        (None, ("--k", "3", "--lambda", "100", *GEOMETRIC), ("--k", "3", "--lambda", "100"),
+         EXIT_OK),
+        ({"lambda": 100}, ("--k", "3", *GEOMETRIC), ("--k", "3", "--lambda", "100"), EXIT_OK),
+        (None, ("--k", "3", *GEOMETRIC), ("--k", "3"), EXIT_CONFIG),
     ],
 )
-def test_sweep_flags_equal_the_run_they_spell_out(tmp_path, capsys, cfg, argv, same_as):
+def test_sweep_flags_equal_the_run_they_spell_out(tmp_path, capsys, cfg, argv, same_as,
+                                                  exit_code):
     config = () if cfg is None else ("--config", config_file(tmp_path, cfg))
     code, out, err = run(capsys, "sweep", *config, *argv)
-    assert code == EXIT_OK or err.startswith("error: sweep needs --lambda"), err
+    assert code == exit_code, err
+    assert code == EXIT_OK or err.startswith("error: sweep needs --lambda")
     assert (code, out, err) == run(capsys, "sweep", *same_as)
 
 
