@@ -3,7 +3,11 @@ round-trip."""
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,7 @@ from aggdelay.cli import (
     main,
     parse_run_config,
 )
+import aggdelay.cli as cli_module
 from aggdelay.presets import PRESETS, preset
 
 
@@ -34,6 +39,11 @@ def test_profiles_lists_all_presets(capsys):
     assert lines[0].startswith("standard,rate_bps,slot_us")
     assert len(lines) == 1 + 4 + 8  # header + 802.11b rates + 802.11g rates
     assert err == ""
+    # the same table from the module run as a script
+    package_root = str(Path(cli_module.__file__).parents[1])
+    script = subprocess.run([sys.executable, "-m", "aggdelay.cli", "profiles"], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": package_root})
+    assert (script.returncode, script.stdout, script.stderr) == (EXIT_OK, out, "")
 
 
 def test_profiles_json(capsys):
@@ -138,6 +148,9 @@ def test_threshold_nonconvergence_lists_runs_of_k_as_ranges(capsys):
     code, out, err = run(capsys, "threshold", "--k", "790..5000")
     assert code == EXIT_NO_CONVERGENCE
     assert err == "threshold did not converge for k = 797..5000\n"
+    code, out, err = run(capsys, "threshold", "--k", "799,798,797,797,798")
+    assert code == EXIT_NO_CONVERGENCE
+    assert err == "threshold did not converge for k = 799, 798, 797, 797..798\n"
 
 
 def test_unknown_rate_exits_2(capsys):
@@ -430,6 +443,37 @@ def test_simulate_sources_flag(capsys):
     assert json.loads(out)["frames_measured"] == 1000
 
 
+def test_sources_superpose_into_one_stream(capsys):
+    frames = ("--seed", "64", "--frames", "20000")
+    merged = run(capsys, "simulate", "--lambda", "100", *frames)
+    assert merged[0] == EXIT_OK
+    assert run(capsys, "simulate", "--sources", "60,40", *frames) == merged
+
+
+@pytest.mark.parametrize(
+    "argv, config, err",
+    [
+        (("--lambda", "100", "--sources", "10,20"), None,
+         "error: sum of source rates 30 must equal the traffic lambda_total 100\n"),
+        (("--lambda", "100", "--sources", "60,50"), None,
+         "error: sum of source rates 110 must equal the traffic lambda_total 100\n"),
+        (("--sources", "100,-0.5"), None, "error: every source rate must be positive and finite\n"),
+        ((), {"sim": {"sources": []}}, "error: every source rate must be positive and finite\n"),
+        # a fault SimConfig finds is named before a fault of the sources
+        (("--lambda", "100", "--sources", "60,50", "--seed", "-1"), None,
+         "error: seed must fit in 64 bits\n"),
+    ],
+    ids=["sum-30", "sum-110", "negative", "empty", "seed-first"],
+)
+def test_source_rates_are_checked_against_the_rate(tmp_path, capsys, argv, config, err):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = ("--config", str(path), *argv)
+    for command in ("simulate", "validate"):
+        assert run(capsys, command, *argv, "--frames", "2000") == (EXIT_CONFIG, "", err)
+
+
 def test_simulate_invalid_config_exits_2(capsys):
     code, _, err = run(
         capsys,
@@ -525,6 +569,8 @@ def test_csv_formatting_uses_12_significant_digits(capsys):
         ("optimal-k", "--lambda", "inf", "--k-max", "3"),
         ("simulate", "--mode", "standard", "--lambda", "inf", "--frames", "100000"),
         ("simulate", "--mode", "standard", "--sources", "100,inf", "--frames", "100000"),
+        ("simulate", "--mode", "standard", "--sources", "100,nan", "--frames", "100000"),
+        ("simulate", "--lambda", "100", "--sources", "100,nan", "--frames", "100000"),
         ("threshold", "--k", "2", "--lambda-max", "inf"),
     ],
 )

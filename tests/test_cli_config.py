@@ -153,6 +153,17 @@ def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, cfg):
     assert err.startswith("error: bad value for ")
 
 
+@pytest.mark.parametrize("name, text", [("missing.json", None), ("broken.json", "{nope")])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, "gain", "--config", str(path), "--k", "2", "--lambda", "100")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("error: cannot read config file: ") and err.count("\n") == 1
+
+
 def test_unknown_grid_key_is_rejected():
     with pytest.raises(ConfigError, match="lambda.step"):
         parse_run_config({"lambda": {"min": 1, "max": 2, "points": 3, "step": 1}})

@@ -352,15 +352,6 @@ def test_uniform_and_empirical_payload_sampling(phy_b11):
         assert measured_payload == pytest.approx(800.0, rel=0.01)
 
 
-def test_sources_superpose_into_one_stream(phy_b11, det800):
-    base = dict(
-        mode=SimMode.STANDARD, phy=phy_b11, traffic=det800, seed=64, num_frames=20_000
-    )
-    merged = simulate(SimConfig(**base))
-    split = simulate(SimConfig(sources=(60.0, 40.0), **base))
-    assert merged == split  # superposition is exact, same merged rate
-
-
 def test_replications_one_result_per_seed(phy_b11, det800):
     config = SimConfig(
         mode=SimMode.STANDARD, phy=phy_b11, traffic=det800, seed=0, num_frames=5_000
@@ -395,10 +386,10 @@ def test_config_validation_errors(phy_b11, det800):
         SimConfig(**{**good, "mode": SimMode.AGGREGATED})  # k=1
     with pytest.raises(ValueError):
         SimConfig(**{**good, "k": 4})  # standard mode with k != 1
-    with pytest.raises(ValueError):
-        SimConfig(**{**good, "sources": (10.0, 20.0)})  # sum != lambda_total
-    with pytest.raises(ValueError):
-        SimConfig(**{**good, "sources": (100.0, -0.5)})
+    with pytest.raises(ValueError, match="SimMode"):
+        SimConfig(**{**good, "mode": "standard"})
+    with pytest.raises(ValueError, match="integers"):
+        SimConfig(**{**good, "num_frames": 1e5})
     with pytest.raises(ValueError):
         SimConfig(**{**good, "seed": -1})
     with pytest.raises(ValueError):
@@ -490,15 +481,6 @@ def test_trailing_partial_batch_in_last_block(monkeypatch, phy_b11):
     assert blocked.in_flight == 3
 
 
-def test_superposed_sources_in_blocks(monkeypatch, phy_b11):
-    traffic = TrafficSpec.exponential(1000.0, 800.0)
-    config = SimConfig(
-        mode=SimMode.STANDARD, phy=phy_b11, traffic=traffic, seed=34,
-        num_frames=30_000, warmup_frames=1_000, sources=(300.0, 500.0, 200.0),
-    )
-    _assert_same_run(*_blocked_and_whole(monkeypatch, config, 4096))
-
-
 def _traced_peak(config):
     """Peak bytes that numpy and Python allocate during one run."""
     tracemalloc.start()
@@ -552,15 +534,6 @@ def test_interbatch_cv_matches_the_arrival_marks(phy_b11, det800):
         assert validate_against_model(config).interbatch_cv == expected
 
 
-def test_non_finite_source_rates_rejected(phy_b11, det800):
-    good = dict(
-        mode=SimMode.STANDARD, phy=phy_b11, traffic=det800, seed=1, num_frames=10
-    )
-    for bad in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="finite"):
-            SimConfig(**{**good, "sources": (100.0, bad)})
-
-
 # --- the exact queue wait and the batch means -------------------------------
 
 
@@ -570,7 +543,7 @@ def _replay(config):
     k, n = config.k, config.num_frames
     n_batches = n // k
     gaps = sim_module._substream(config.seed, "arrivals").exponential(
-        1.0 / config.arrival_rate, n
+        1.0 / config.traffic.lambda_total, n
     )
     payloads = sim_module._substream(config.seed, "payloads").exponential(
         config.traffic.payload_mean, n

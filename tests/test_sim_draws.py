@@ -9,6 +9,7 @@ result, and that no thread outlives a call, whether it returns or raises.
 """
 
 import hashlib
+import os
 import subprocess
 import sys
 import threading
@@ -45,7 +46,7 @@ def _whole_draws(config, n):
     k, phy, traffic = config.k, config.phy, config.traffic
     n_batches = n // k
     gaps = sim_module._substream(config.seed, "arrivals").exponential(
-        1.0 / config.arrival_rate, n
+        1.0 / config.traffic.lambda_total, n
     )
     rng = sim_module._substream(config.seed, "payloads")
     family = traffic.payload_family
@@ -238,6 +239,13 @@ def test_a_one_block_run_or_a_single_cpu_starts_no_thread(monkeypatch, phy_b11, 
     _small_blocks(monkeypatch, cpus=1)
     simulate(config)  # 72 blocks, one CPU
     assert started == []
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(sim_module.os, "sched_getaffinity", raising=False)  # not on every platform
+    assert sim_module._usable_cpus() == (os.cpu_count() or 1)
+    monkeypatch.setattr(sim_module.os, "cpu_count", lambda: None)  # count unknown
+    assert sim_module._usable_cpus() == 1
 
 
 def test_importing_the_cli_loads_no_thread_pool():
