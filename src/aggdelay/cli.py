@@ -19,7 +19,7 @@ from collections import namedtuple
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cache
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 
 from .model import PKForm, TrafficSpec
 from .phy import PRESET_STANDARDS, PhyProfile, Standard, overhead_gamma, profile_for
@@ -71,6 +71,10 @@ def _to_us(seconds: float) -> float:
     return us
 
 
+FORMATS = ("csv", "json")  # output.format; the first is the default
+GRID_KINDS = ("linear", "geometric")  # of a lambda grid; the first is the default
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Arrival-rate grid: ``points`` values from min to max inclusive."""
@@ -81,8 +85,8 @@ class GridSpec:
     points: int
 
     def __post_init__(self) -> None:
-        _require(self.kind in ("linear", "geometric"),
-                 f"grid kind must be linear or geometric, got {self.kind!r}")
+        _require(self.kind in GRID_KINDS,
+                 f"grid kind must be {' or '.join(GRID_KINDS)}, got {self.kind!r}")
         _require(math.isfinite(self.min) and math.isfinite(self.max),
                  f"lambda grid needs a finite min and max, got {self.min}:{self.max}")
         _require(0.0 < self.min < self.max, "grid needs 0 < min < max")
@@ -136,7 +140,8 @@ SCHEMA = {
         "uniform-range": {"uniform_lo_bits": _NUMBER, "uniform_hi_bits": _NUMBER},
         "empirical": {"empirical_values_bits": (REQUIRED, _floats)},
     },
-    "lambda": {"kind": ("linear", str), "min": _NUMBER, "max": _NUMBER, "points": (REQUIRED, int)},
+    "lambda": {"kind": (GRID_KINDS[0], str), "min": _NUMBER, "max": _NUMBER,
+               "points": (REQUIRED, int)},
     "sim": {
         "mode": ("standard", lambda mode: SimMode(mode).value),
         "seed": (0, int),
@@ -150,7 +155,7 @@ SCHEMA = {
         f.name: (f.default, float if f.default is None else type(f.default))
         for f in fields(SearchParams)
     },
-    "output": {"format": ("csv", str), "path": (None, str)},
+    "output": {"format": (FORMATS[0], str), "path": (None, str)},
 }
 _VARIANT = {"phy": "standard", "traffic": "payload_family"}
 TOP_LEVEL_KEYS = {"form", "k", "k_max", *SCHEMA}
@@ -283,8 +288,8 @@ def parse_run_config(cfg: dict) -> RunConfig:
     valid = [f.value for f in PKForm]
     _require(form in valid, f"unknown form {form!r}; valid: {', '.join(valid)}")
     output = _section("output", cfg.get("output"))
-    _require(output["format"] in ("csv", "json"),
-             f"output.format must be csv or json, got {output['format']!r}")
+    _require(output["format"] in FORMATS,
+             f"output.format must be {' or '.join(FORMATS)}, got {output['format']!r}")
     search = cfg.get("search")
     return RunConfig(
         phy=_parse_phy(_section("phy", cfg.get("phy"))),
@@ -343,7 +348,7 @@ FLAGS = (
     ("--config", RUNS, dict(metavar="FILE", help="JSON config file"), None),
     ("--preset", RUNS, dict(metavar="NAME", help="named preset (see README)"), None),
     ("--dump-config", RUNS, dict(action="store_true", help="print the config and exit"), None),
-    ("--format", ("profiles", *RUNS), dict(choices=("csv", "json")), "output.format"),
+    ("--format", ("profiles", *RUNS), dict(choices=FORMATS), "output.format"),
     ("--output", ("profiles", *RUNS), dict(metavar="PATH"), "output.path"),
     ("--standard", RUNS, dict(choices=tuple(s.value for s in PRESET_STANDARDS)), "phy.standard"),
     ("--rate", RUNS, dict(type=float, help="PHY rate, bit/s"), "phy.rate_bps"),
@@ -358,12 +363,12 @@ FLAGS = (
      "phy.caption_only_overhead"),
     ("--backoff-literal-us", RUNS, dict(type=float, help="fixed mean backoff (us)"),
      "phy.backoff_override_us"),
-    ("--mode", SIM, dict(choices=("standard", "aggregated"), help="node model"), "sim.mode"),
+    ("--mode", SIM, dict(choices=tuple(m.value for m in SimMode), help="node model"), "sim.mode"),
     ("--k", ("gain", "sweep", "threshold"), dict(help="e.g. 5, 2..10, or 2,5,8"), "k"),
     ("--k", SIM, dict(type=int, help="batch size (aggregated mode)"), "sim.k"),
     ("--lambda", ("gain", "optimal-k", *SIM), dict(type=float, help="rate (pps)"), "lambda"),
     ("--lambda", ("sweep",), dict(type=_grid_or_rate, help="MIN:MAX:POINTS or a rate"), "lambda"),
-    ("--grid-kind", ("sweep",), dict(choices=("linear", "geometric")), None),
+    ("--grid-kind", ("sweep",), dict(choices=GRID_KINDS), None),
     # --lambda-min, --lambda-max, --rel-tol
     *((f"--{key.replace('_', '-')}", ("threshold",), dict(type=kind), f"search.{key}")
       for key, (_, kind) in SCHEMA["search"].items()),
@@ -592,16 +597,11 @@ def _run_threshold(rc: RunConfig) -> int:
         "note": r.note,
     } for r in lambda_thresholds(rc.k_values, rc.phy, rc.traffic, rc.form, rc.search)]
     emit(records, rc.out_format, rc.out_path)
-    runs = []  # [first, last] of each run of consecutive failing k
-    for r in records:
-        if r["converged"]:
-            continue
-        if runs and r["k"] == runs[-1][1] + 1:
-            runs[-1][1] = r["k"]
-        else:
-            runs.append([r["k"], r["k"]])
+    failing = [r["k"] for r in records if not r["converged"]]
+    # a run of consecutive k keeps "k minus its place among the failures"
+    runs = [[k for _, k in run] for _, run in groupby(enumerate(failing), lambda p: p[1] - p[0])]
     if runs:
-        failed = ", ".join(str(a) if a == b else f"{a}..{b}" for a, b in runs)
+        failed = ", ".join(f"{run[0]}..{run[-1]}" if run[1:] else str(run[0]) for run in runs)
         print(f"threshold did not converge for k = {failed}", file=sys.stderr)
     return EXIT_NO_CONVERGENCE if runs else EXIT_OK
 
@@ -617,10 +617,19 @@ def _run_optimal_k(rc: RunConfig) -> int:
 
 
 def _sim_config(rc: RunConfig) -> SimConfig:
+    """The run's SimConfig, checked first; then sim.sources, which superpose into its one
+    stream, must each be positive and finite and sum to its rate."""
     _require(rc.lam is not None, "simulation needs --lambda or --sources")
     sim = {key: rc.sim[key] for key in ("seed", "num_frames", "warmup_frames", "k")}
-    sim.update(mode=SimMode(rc.sim["mode"]), sources=rc.sim["sources"] and tuple(rc.sim["sources"]))
-    return SimConfig(phy=rc.phy, traffic=rc.traffic, **sim)
+    config = SimConfig(mode=SimMode(rc.sim["mode"]), phy=rc.phy, traffic=rc.traffic, **sim)
+    rates = rc.sim["sources"]
+    if rates is not None:
+        _require(bool(rates) and all(0.0 < r < math.inf for r in rates),
+                 "every source rate must be positive and finite")
+        total, lam = sum(rates), config.traffic.lambda_total
+        _require(math.isclose(total, lam, rel_tol=1e-9),
+                 f"sum of source rates {total:g} must equal the traffic lambda_total {lam:g}")
+    return config
 
 
 def _run_simulate(rc: RunConfig) -> int:

@@ -21,31 +21,26 @@ from __future__ import annotations
 
 from .phy import PRESET_STANDARDS
 
-_TRAFFIC_800_BITS = {
-    "payload_family": "deterministic",
-    "payload_mean_bits": 800.0,
+# Every figure's sections; preset() copies each section, so no caller shares them.
+_FIGURE = {
+    "traffic": {"payload_family": "deterministic", "payload_mean_bits": 800.0},
+    "form": "deterministic-service",
+    "output": {"format": "csv", "path": None},
 }
 
 PRESETS: dict[str, dict] = {
     "fig3": {
+        **_FIGURE,
         "phy": {"standard": "b", "rate_bps": 11e6},
-        "traffic": dict(_TRAFFIC_800_BITS),
-        "form": "deterministic-service",
         "k": "2..10",
         "lambda": {"kind": "linear", "min": 1.0, "max": 1600.0, "points": 200},
-        "output": {"format": "csv", "path": None},
     },
 }
 
 # Figure 4 gives lambda*(k) for each 802.11b rate, figure 5 for each 802.11g rate.
 PRESETS.update(
-    (f"{figure}-{rate / 1e6:g}", {
-        "phy": {"standard": standard.value, "rate_bps": rate},
-        "traffic": dict(_TRAFFIC_800_BITS),
-        "form": "deterministic-service",
-        "k": "2..20",
-        "output": {"format": "csv", "path": None},
-    })
+    (f"{figure}-{rate / 1e6:g}",
+     {**_FIGURE, "phy": {"standard": standard.value, "rate_bps": rate}, "k": "2..20"})
     for figure, (standard, (rates, *_)) in zip(("fig4", "fig5"), PRESET_STANDARDS.items())
     for rate in rates
 )

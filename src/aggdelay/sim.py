@@ -71,9 +71,8 @@ def _substream(seed: int, name: str) -> np.random.Generator:
 class SimConfig:
     """One reproducible run of the standard or aggregated node model.
 
-    ``sources`` lists per-source Poisson rates; they superpose into one
-    stream of rate sum(sources), which must equal the traffic spec's
-    ``lambda_total``. When omitted, a single source at that rate is used.
+    Frames arrive as one Poisson stream of rate ``traffic.lambda_total``:
+    any number of Poisson sources superpose into exactly that stream.
     ``k`` is only meaningful in aggregated mode (and must then be >= 2).
     """
 
@@ -84,7 +83,6 @@ class SimConfig:
     num_frames: int
     warmup_frames: int = 0
     k: int = 1
-    sources: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.mode, SimMode):
@@ -104,25 +102,6 @@ class SimConfig:
                 raise ValueError("aggregated mode needs an integer k >= 2")
         elif self.k != 1:
             raise ValueError("standard mode uses k = 1")
-        rates = self.source_rates
-        if not rates or not all(0.0 < r < math.inf for r in rates):
-            raise ValueError("every source rate must be positive and finite")
-        total = sum(rates)
-        if not math.isclose(total, self.traffic.lambda_total, rel_tol=1e-9):
-            raise ValueError(
-                f"sum of source rates {total:g} must equal the traffic "
-                f"lambda_total {self.traffic.lambda_total:g}"
-            )
-
-    @property
-    def source_rates(self) -> tuple[float, ...]:
-        if self.sources is None:
-            return (self.traffic.lambda_total,)
-        return self.sources
-
-    @property
-    def arrival_rate(self) -> float:
-        return self.traffic.lambda_total
 
 
 @dataclass(frozen=True)
@@ -227,7 +206,7 @@ class _Draws:
         self.k = config.k
         self.phy = config.phy
         self.traffic = config.traffic
-        self.scale = 1.0 / config.arrival_rate
+        self.scale = 1.0 / config.traffic.lambda_total
         self.gamma = overhead_gamma(config.phy).gamma_total
         self.arrivals = _substream(config.seed, "arrivals")
         self.payloads = _substream(config.seed, "payloads")
@@ -547,7 +526,7 @@ def validate_against_model(
     config: SimConfig, form: PKForm = PKForm.DETERMINISTIC_SERVICE
 ) -> ValidationReport:
     """Run the simulator and compare its sojourn mean to the analytic F(k)."""
-    metrics = evaluate(config.k, config.arrival_rate, config.phy, config.traffic, form)
+    metrics = evaluate(config.k, config.traffic.lambda_total, config.phy, config.traffic, form)
     result, abs_dev, rel_dev, within = None, math.nan, math.nan, None
     if metrics.stable:
         result = simulate(config)

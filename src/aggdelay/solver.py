@@ -156,10 +156,9 @@ def lambda_thresholds(
     q_1, results = s_1 * s_1 + (v_1 if general else 0.0), []
     for start in range(0, len(k_values), OPTIMAL_K_CHUNK):
         chunk, solves = k_values[start:start + OPTIMAL_K_CHUNK], []
-        for k in chunk:  # _service(k, m), inline
-            s_k = k * m.payload_mean / m.bit_rate + m.gamma + m.backoff_mean
-            v_k = m.backoff_var + k * m.payload_variance / m.bit_rate_sq if general else 0.0
-            coeffs = _break_even_cubic(k, s_k, s_k * s_k + v_k, s_1, q_1)
+        for k in chunk:
+            s_k, v_k = _service(k, m)
+            coeffs = _break_even_cubic(k, s_k, s_k * s_k + (v_k if general else 0.0), s_1, q_1)
             limit = min(k / s_k, 1.0 / s_1)
             roots = [x for x in _positive_roots(*coeffs) if lam_min < x < limit and x <= lam_max]
             root, steps = _polish(coeffs, min(roots)) if roots else (math.nan, 0)
