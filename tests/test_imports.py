@@ -22,7 +22,8 @@ def unused_imports(path: Path) -> list[str]:
     lines = source.splitlines()
     imported = {}  # bound name -> line of its alias
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+        future = isinstance(node, ast.ImportFrom) and node.module == "__future__"  # a switch
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not future:
             for alias in node.names:
                 imported[(alias.asname or alias.name).split(".")[0]] = alias.lineno
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
