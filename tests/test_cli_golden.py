@@ -177,6 +177,16 @@ def test_golden_output(capsys, name):
     assert _digest(capsys, CASES[name]) == DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(
+    name for name, argv in CASES.items() if argv[0] != "profiles" and "--dump-config" not in argv))
+def test_dumped_config_reloads_to_the_same_run(tmp_path, capsys, name):
+    argv = CASES[name]
+    assert main([*argv, "--dump-config"]) == 0
+    path = tmp_path / "config.json"
+    path.write_text(capsys.readouterr().out)
+    assert _digest(capsys, (argv[0], "--config", str(path))) == DIGESTS[name]
+
+
 def _writes_json(argv) -> bool:
     sim_default = argv[0] in ("simulate", "validate") and "csv" not in argv
     return "--dump-config" in argv or "json" in argv or sim_default
