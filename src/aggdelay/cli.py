@@ -147,7 +147,7 @@ SCHEMA = {
         "seed": (0, int),
         "num_frames": (100_000, int),
         "warmup_frames": (1_000, int),
-        "k": (None, int),  # 1 in standard mode; aggregated mode needs it
+        "k": (1, int),  # SimConfig's default; aggregated mode needs k >= 2
         "sources": (None, _floats),
         "replications": (1, int),
     },
@@ -188,10 +188,10 @@ def _section(name: str, section) -> dict:
     return out
 
 
-# Everything one subcommand needs; ``sim`` is the checked sim section.
-RunConfig = namedtuple(
-    "RunConfig", "phy traffic form k_values k_max lam grid sim search out_format out_path"
-)
+# Everything one subcommand needs; ``sim`` is the checked sim section and
+# ``sim_config`` its SimConfig (None without a sim section or a rate).
+RunConfig = namedtuple("RunConfig", "phy traffic form k_values k_max lam grid sim search "
+                       "out_format out_path sim_config", defaults=(None,))
 
 
 def _phy_field(key: str) -> str:
@@ -267,12 +267,12 @@ def _parse_lambda(spec) -> tuple[float | None, GridSpec | None]:
 
 def _parse_sim(section) -> dict:
     sim = _section("sim", section)
-    if sim["k"] is None:
-        _require(sim["mode"] == "standard", "aggregated simulation needs sim.k >= 2")
-        sim["k"] = 1
     _require(sim["replications"] >= 1, "sim.replications must be >= 1")
     _require(sim["seed"] + sim["replications"] - 1 < 2**64,
              "sim.seed + sim.replications - 1 must fit in 64 bits")
+    rates = sim["sources"]
+    _require(rates is None or bool(rates) and all(0.0 < r < math.inf for r in rates),
+             "every source rate must be positive and finite")
     return sim
 
 
@@ -291,7 +291,7 @@ def parse_run_config(cfg: dict) -> RunConfig:
     _require(output["format"] in FORMATS,
              f"output.format must be {' or '.join(FORMATS)}, got {output['format']!r}")
     search = cfg.get("search")
-    return RunConfig(
+    rc = RunConfig(
         phy=_parse_phy(_section("phy", cfg.get("phy"))),
         traffic=_parse_traffic(_section("traffic", cfg.get("traffic")), lam or 1.0),
         form=PKForm(form),
@@ -304,6 +304,16 @@ def parse_run_config(cfg: dict) -> RunConfig:
         out_format=output["format"],
         out_path=output["path"],
     )
+    if sim is None:
+        return rc
+    config = SimConfig(mode=SimMode(sim["mode"]), phy=rc.phy, traffic=rc.traffic,
+                       **{key: sim[key] for key in ("seed", "num_frames", "warmup_frames", "k")})
+    if sim["sources"] is not None:  # they superpose into the one stream of rate lam
+        total = sum(sim["sources"])
+        _require(math.isclose(total, lam, rel_tol=1e-9),
+                 f"sum of source rates {total:g} must equal the traffic lambda_total {lam:g}")
+    # Without a rate, config has the traffic's placeholder rate: it checks the section only.
+    return rc._replace(sim_config=None if lam is None else config)
 
 
 def dump_run_config(rc: RunConfig) -> dict:
@@ -586,7 +596,6 @@ def _run_sweep(rc: RunConfig) -> int:
 
 def _run_threshold(rc: RunConfig) -> int:
     _require(bool(rc.k_values), "threshold needs --k")
-    _require(all(k >= 2 for k in rc.k_values), "threshold needs every k >= 2")
     records = [{
         "k": r.k,
         "lambda_star": r.lambda_star,
@@ -617,19 +626,8 @@ def _run_optimal_k(rc: RunConfig) -> int:
 
 
 def _sim_config(rc: RunConfig) -> SimConfig:
-    """The run's SimConfig, checked first; then sim.sources, which superpose into its one
-    stream, must each be positive and finite and sum to its rate."""
-    _require(rc.lam is not None, "simulation needs --lambda or --sources")
-    sim = {key: rc.sim[key] for key in ("seed", "num_frames", "warmup_frames", "k")}
-    config = SimConfig(mode=SimMode(rc.sim["mode"]), phy=rc.phy, traffic=rc.traffic, **sim)
-    rates = rc.sim["sources"]
-    if rates is not None:
-        _require(bool(rates) and all(0.0 < r < math.inf for r in rates),
-                 "every source rate must be positive and finite")
-        total, lam = sum(rates), config.traffic.lambda_total
-        _require(math.isclose(total, lam, rel_tol=1e-9),
-                 f"sum of source rates {total:g} must equal the traffic lambda_total {lam:g}")
-    return config
+    _require(rc.sim_config is not None, "simulation needs --lambda or --sources")
+    return rc.sim_config
 
 
 def _run_simulate(rc: RunConfig) -> int:

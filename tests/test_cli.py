@@ -459,7 +459,7 @@ def test_sources_superpose_into_one_stream(capsys):
          "error: sum of source rates 110 must equal the traffic lambda_total 100\n"),
         (("--sources", "100,-0.5"), None, "error: every source rate must be positive and finite\n"),
         ((), {"sim": {"sources": []}}, "error: every source rate must be positive and finite\n"),
-        # a fault SimConfig finds is named before a fault of the sources
+        # a fault SimConfig finds is named before a wrong sum of the sources
         (("--lambda", "100", "--sources", "60,50", "--seed", "-1"), None,
          "error: seed must fit in 64 bits\n"),
     ],
@@ -472,6 +472,54 @@ def test_source_rates_are_checked_against_the_rate(tmp_path, capsys, argv, confi
         argv = ("--config", str(path), *argv)
     for command in ("simulate", "validate"):
         assert run(capsys, command, *argv, "--frames", "2000") == (EXIT_CONFIG, "", err)
+
+
+SOURCE_RATE = "error: every source rate must be positive and finite\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("--lambda", "100", "--frames", "10", "--warmup", "20"),
+         "error: need num_frames > warmup_frames >= 0\n"),
+        # every given value is checked before a missing rate is reported
+        (("--frames", "10", "--warmup", "20"), "error: need num_frames > warmup_frames >= 0\n"),
+        (("--lambda", "100", "--seed", "-5"), "error: seed must fit in 64 bits\n"),
+        (("--lambda", "100", "--mode", "standard", "--k", "3"),
+         "error: standard mode uses k = 1\n"),
+        (("--lambda", "100", "--mode", "aggregated", "--k", "1"),
+         "error: aggregated mode needs an integer k >= 2\n"),
+        (("--sources", "0"), SOURCE_RATE),
+        (("--sources", "100,-0.5"), SOURCE_RATE),
+        (("--sources", "100,nan"), SOURCE_RATE),
+        (("--lambda", "100", "--sources", "100,nan"), SOURCE_RATE),
+        (("--lambda", "100", "--sources", "60,50"),
+         "error: sum of source rates 110 must equal the traffic lambda_total 100\n"),
+    ],
+    ids=["frames", "frames-no-rate", "seed", "standard-k", "aggregated-k", "sources-zero",
+         "sources-negative", "sources-nan", "sources-nan-lambda", "sources-sum"],
+)
+def test_dump_config_rejects_what_the_run_rejects(capsys, argv, err):
+    for command in ("simulate", "validate"):
+        assert run(capsys, command, *argv) == (EXIT_CONFIG, "", err)
+        assert run(capsys, command, *argv, "--dump-config") == (EXIT_CONFIG, "", err)
+
+
+@pytest.mark.parametrize(
+    "sim, err",
+    [
+        ({"num_frames": 10, "warmup_frames": 20}, "error: need num_frames > warmup_frames >= 0\n"),
+        ({"frames": 10}, "error: unknown config keys: sim.frames\n"),
+        ({"replications": 0}, "error: sim.replications must be >= 1\n"),
+    ],
+    ids=["frames", "unknown-key", "replications"],
+)
+def test_sim_section_is_checked_whole_by_every_command(tmp_path, capsys, sim, err):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"sim": sim}))
+    for extra in ((), ("--dump-config",)):
+        argv = ("gain", "--config", str(path), "--k", "2", "--lambda", "100", *extra)
+        assert run(capsys, *argv) == (EXIT_CONFIG, "", err)
 
 
 def test_simulate_invalid_config_exits_2(capsys):
@@ -580,6 +628,8 @@ def test_non_finite_rate_exits_2(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "finite" in err and "Traceback" not in err
+    if "--sources" in argv:  # a bad source rate is named before the rate they sum to
+        assert err == "error: every source rate must be positive and finite\n"
 
 
 @pytest.mark.parametrize(
