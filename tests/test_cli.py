@@ -629,7 +629,7 @@ def test_non_finite_rate_exits_2(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "finite" in err and "Traceback" not in err
     if "--sources" in argv:  # a bad source rate is named before the rate they sum to
-        assert err == "error: every source rate must be positive and finite\n"
+        assert err == SOURCE_RATE
 
 
 @pytest.mark.parametrize(
