@@ -71,8 +71,11 @@ def _to_us(seconds: float) -> float:
     return us
 
 
-FORMATS = ("csv", "json")  # output.format; the first is the default
-GRID_KINDS = ("linear", "geometric")  # of a lambda grid; the first is the default
+# The values of each choice key; the first is the default, except for form.
+FORMATS = ("csv", "json")  # output.format
+GRID_KINDS = ("linear", "geometric")  # lambda.kind
+MODES = tuple(mode.value for mode in SimMode)  # sim.mode
+FORMS = tuple(form.value for form in PKForm)
 
 
 @dataclass(frozen=True)
@@ -85,8 +88,6 @@ class GridSpec:
     points: int
 
     def __post_init__(self) -> None:
-        _require(self.kind in GRID_KINDS,
-                 f"grid kind must be {' or '.join(GRID_KINDS)}, got {self.kind!r}")
         _require(math.isfinite(self.min) and math.isfinite(self.max),
                  f"lambda grid needs a finite min and max, got {self.min}:{self.max}")
         _require(0.0 < self.min < self.max, "grid needs 0 < min < max")
@@ -108,27 +109,23 @@ def _floats(values) -> list[float]:
     return [float(v) for v in (values.split(",") if isinstance(values, str) else values)]
 
 
-def _seconds(us) -> float:
-    return float(us) / 1e6
-
-
 REQUIRED = object()  # default of a key that has none
 _NUMBER = (REQUIRED, float)
 _PHY_TIMES = ("slot_us", "difs_us", "sifs_us", "preamble_us")
 _PHY_COUNTS = ("cw", "mac_header_bits", "crc_bits", "ack_bits")
-_PHY_OPTIONS = {"backoff_override_us": (None, _seconds), "caption_only_overhead": (False, bool)}
+_PHY_OPTIONS = {"backoff_override_us": (None, float), "caption_only_overhead": (False, bool)}
 _MEANS = {"payload_mean_bits": (None, float), "payload_mean_bytes": (None, float)}
 
-# Key -> (default, type) per config section. phy and traffic have one key
-# set per variant, named by the key in _VARIANT (first variant: default).
-# phy reads _us values into seconds.
+# Key -> (default, kind) per config section; a tuple kind lists the values
+# a key takes. phy and traffic have one key set per variant, named by the
+# key in _VARIANT (first variant: default).
 SCHEMA = {
     "phy": {
         "b": {"rate_bps": (11e6, float), **_PHY_OPTIONS},
         "g": {"rate_bps": _NUMBER, **_PHY_OPTIONS},
         "custom": {
             "bit_rate_bps": _NUMBER,
-            **{key: (REQUIRED, _seconds) for key in _PHY_TIMES},
+            **{key: _NUMBER for key in _PHY_TIMES},
             **{key: (REQUIRED, int) for key in _PHY_COUNTS},
             "ack_rate_bps": _NUMBER,
             **_PHY_OPTIONS,
@@ -140,10 +137,10 @@ SCHEMA = {
         "uniform-range": {"uniform_lo_bits": _NUMBER, "uniform_hi_bits": _NUMBER},
         "empirical": {"empirical_values_bits": (REQUIRED, _floats)},
     },
-    "lambda": {"kind": (GRID_KINDS[0], str), "min": _NUMBER, "max": _NUMBER,
+    "lambda": {"kind": (GRID_KINDS[0], GRID_KINDS), "min": _NUMBER, "max": _NUMBER,
                "points": (REQUIRED, int)},
     "sim": {
-        "mode": ("standard", lambda mode: SimMode(mode).value),
+        "mode": (MODES[0], MODES),
         "seed": (0, int),
         "num_frames": (100_000, int),
         "warmup_frames": (1_000, int),
@@ -155,14 +152,18 @@ SCHEMA = {
         f.name: (f.default, float if f.default is None else type(f.default))
         for f in fields(SearchParams)
     },
-    "output": {"format": (FORMATS[0], str), "path": (None, str)},
+    "output": {"format": (FORMATS[0], FORMATS), "path": (None, str)},
 }
 _VARIANT = {"phy": "standard", "traffic": "payload_family"}
 TOP_LEVEL_KEYS = {"form", "k", "k_max", *SCHEMA}
 
 
 def _typed(name: str, value, kind):
-    """``value`` as ``kind`` (None stays None); a bad value names its key."""
+    """``value`` as ``kind`` (None stays None) or, for a tuple ``kind``, one of
+    its values; a bad value names its key."""
+    if isinstance(kind, tuple):
+        _require(value in kind, f"{name} must be one of {list(kind)}, got {value!r}")
+        return value
     try:
         return value if value is None else kind(value)
     except (TypeError, ValueError):
@@ -176,9 +177,9 @@ def _section(name: str, section) -> dict:
     schema, where = SCHEMA[name], ""
     if name in _VARIANT:
         key = _VARIANT[name]
-        variant, valid = section.get(key, next(iter(schema))), list(schema)
-        _require(variant in valid, f"{name}.{key} must be one of {valid}, got {variant!r}")
-        schema, where = {key: (variant, str), **schema[variant]}, f" for {name}.{key} {variant!r}"
+        valid = tuple(schema)
+        variant = _typed(f"{name}.{key}", section.get(key, valid[0]), valid)
+        schema, where = {key: (variant, valid), **schema[variant]}, f" for {name}.{key} {variant!r}"
     unknown = [f"{name}.{key}" for key in section if key not in schema]
     _require(not unknown, f"unknown config keys: {', '.join(unknown)}{where}")
     out = {}
@@ -188,10 +189,12 @@ def _section(name: str, section) -> dict:
     return out
 
 
-# Everything one subcommand needs; ``sim`` is the checked sim section and
-# ``sim_config`` its SimConfig (None without a sim section or a rate).
+# Everything one subcommand needs. ``sim``, ``phy_section`` and ``traffic_section``
+# are the checked sections, for ``dump_run_config``; ``sim_config`` is the SimConfig
+# of ``sim`` (None without a sim section or a rate).
 RunConfig = namedtuple("RunConfig", "phy traffic form k_values k_max lam grid sim search "
-                       "out_format out_path sim_config", defaults=(None,))
+                       "out_format out_path phy_section traffic_section sim_config",
+                       defaults=(None,))
 
 
 def _phy_field(key: str) -> str:
@@ -199,7 +202,8 @@ def _phy_field(key: str) -> str:
 
 
 def _parse_phy(section: dict) -> PhyProfile:
-    values = {_phy_field(key): value for key, value in section.items() if key != "standard"}
+    values = {_phy_field(key): value / 1e6 if key.endswith("_us") and value is not None else value
+              for key, value in section.items() if key != "standard"}
     if section["standard"] == "custom":
         return PhyProfile(standard_id=Standard.CUSTOM, **values)
     profile = profile_for(section["standard"], values.pop("bit_rate"))
@@ -210,14 +214,6 @@ def _parse_phy(section: dict) -> PhyProfile:
 def _phy_config(profile: PhyProfile, keys) -> dict:
     values = {key: getattr(profile, _phy_field(key)) for key in keys}
     return {k: _to_us(v) if k.endswith("_us") and v is not None else v for k, v in values.items()}
-
-
-def _dump_phy(profile: PhyProfile) -> dict:
-    standard = profile.standard_id.value
-    out = {"standard": standard, **_phy_config(profile, SCHEMA["phy"][standard])}
-    if standard == "custom":
-        return out  # custom profiles spell out every key, presets what they change
-    return {k: v for k, v in out.items() if k not in _PHY_OPTIONS or v != _PHY_OPTIONS[k][0]}
 
 
 def _parse_traffic(section: dict, lam: float) -> TrafficSpec:
@@ -232,18 +228,9 @@ def _parse_traffic(section: dict, lam: float) -> TrafficSpec:
              "payload_mean_bits and payload_mean_bytes are mutually exclusive")
     if bits is None:  # 800 bits is the package's default payload
         bits = 800.0 if nbytes is None else 8.0 * nbytes
+    section.update(payload_mean_bits=bits, payload_mean_bytes=None)  # the mean, as dumped
     build = TrafficSpec.deterministic if family == "deterministic" else TrafficSpec.exponential
     return build(lam, bits)
-
-
-def _dump_traffic(traffic: TrafficSpec) -> dict:
-    family = traffic.payload_family.value
-    out = {"payload_family": family}
-    for key in SCHEMA["traffic"][family]:
-        if key != "payload_mean_bytes":
-            value = getattr(traffic, key.removesuffix("_bits"))
-            out[key] = list(value) if isinstance(value, tuple) else value
-    return out
 
 
 def _parse_k_values(spec) -> tuple[int, ...]:
@@ -284,16 +271,12 @@ def parse_run_config(cfg: dict) -> RunConfig:
     sim = None if cfg.get("sim") is None else _parse_sim(cfg["sim"])
     if lam is None and sim is not None and sim["sources"] is not None:
         lam = sum(sim["sources"])
-    form = cfg.get("form", PKForm.DETERMINISTIC_SERVICE.value)
-    valid = [f.value for f in PKForm]
-    _require(form in valid, f"unknown form {form!r}; valid: {', '.join(valid)}")
+    form = _typed("form", cfg.get("form", PKForm.DETERMINISTIC_SERVICE.value), FORMS)
     output = _section("output", cfg.get("output"))
-    _require(output["format"] in FORMATS,
-             f"output.format must be {' or '.join(FORMATS)}, got {output['format']!r}")
     search = cfg.get("search")
     rc = RunConfig(
-        phy=_parse_phy(_section("phy", cfg.get("phy"))),
-        traffic=_parse_traffic(_section("traffic", cfg.get("traffic")), lam or 1.0),
+        phy=_parse_phy(phy := _section("phy", cfg.get("phy"))),
+        traffic=_parse_traffic(traffic := _section("traffic", cfg.get("traffic")), lam or 1.0),
         form=PKForm(form),
         k_values=_parse_k_values(cfg.get("k")),
         k_max=_typed("k_max", cfg.get("k_max"), int),
@@ -303,6 +286,8 @@ def parse_run_config(cfg: dict) -> RunConfig:
         search=None if search is None else SearchParams(**_section("search", search)),
         out_format=output["format"],
         out_path=output["path"],
+        phy_section=phy,
+        traffic_section=traffic,
     )
     if sim is None:
         return rc
@@ -317,10 +302,13 @@ def parse_run_config(cfg: dict) -> RunConfig:
 
 
 def dump_run_config(rc: RunConfig) -> dict:
-    """Canonical config mapping; parse_run_config inverts it exactly."""
+    """Canonical config mapping; parse_run_config inverts it exactly. Its phy and
+    traffic sections are the checked ones, less a preset's default options and unset means."""
+    custom = rc.phy_section["standard"] == "custom"  # all its keys; a preset, its changes
     out = {
-        "phy": _dump_phy(rc.phy),
-        "traffic": _dump_traffic(rc.traffic),
+        "phy": {k: v for k, v in rc.phy_section.items()
+                if custom or k not in _PHY_OPTIONS or v != _PHY_OPTIONS[k][0]},
+        "traffic": {key: value for key, value in rc.traffic_section.items() if value is not None},
         "form": rc.form.value,
         "output": {"format": rc.out_format, "path": rc.out_path},
         "k": list(rc.k_values) or None,
@@ -362,7 +350,7 @@ FLAGS = (
     ("--output", ("profiles", *RUNS), dict(metavar="PATH"), "output.path"),
     ("--standard", RUNS, dict(choices=tuple(s.value for s in PRESET_STANDARDS)), "phy.standard"),
     ("--rate", RUNS, dict(type=float, help="PHY rate, bit/s"), "phy.rate_bps"),
-    ("--form", RUNS, dict(choices=tuple(f.value for f in PKForm)), "form"),
+    ("--form", RUNS, dict(choices=FORMS), "form"),
     ("--payload-mean-bits", RUNS, dict(type=float), "traffic.payload_mean_bits"),
     ("--payload-mean-bytes", RUNS, dict(type=float), "traffic.payload_mean_bytes"),
     ("--payload-uniform", RUNS, dict(type=_uniform, metavar="LO:HI", help="bits"), "traffic"),
@@ -373,7 +361,7 @@ FLAGS = (
      "phy.caption_only_overhead"),
     ("--backoff-literal-us", RUNS, dict(type=float, help="fixed mean backoff (us)"),
      "phy.backoff_override_us"),
-    ("--mode", SIM, dict(choices=tuple(m.value for m in SimMode), help="node model"), "sim.mode"),
+    ("--mode", SIM, dict(choices=MODES, help="node model"), "sim.mode"),
     ("--k", ("gain", "sweep", "threshold"), dict(help="e.g. 5, 2..10, or 2,5,8"), "k"),
     ("--k", SIM, dict(type=int, help="batch size (aggregated mode)"), "sim.k"),
     ("--lambda", ("gain", "optimal-k", *SIM), dict(type=float, help="rate (pps)"), "lambda"),
