@@ -71,7 +71,7 @@ def _to_us(seconds: float) -> float:
     return us
 
 
-# The values of each choice key; the first is the default, except for form.
+# The values of each choice key; the first is the default, but form's is FORMS[1].
 FORMATS = ("csv", "json")  # output.format
 GRID_KINDS = ("linear", "geometric")  # lambda.kind
 MODES = tuple(mode.value for mode in SimMode)  # sim.mode
@@ -105,8 +105,8 @@ class GridSpec:
         return vals
 
 
-def _floats(values) -> list[float]:
-    return [float(v) for v in (values.split(",") if isinstance(values, str) else values)]
+def _floats(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
 
 
 REQUIRED = object()  # default of a key that has none
@@ -158,43 +158,55 @@ _VARIANT = {"phy": "standard", "traffic": "payload_family"}
 TOP_LEVEL_KEYS = {"form", "k", "k_max", *SCHEMA}
 
 
-def _typed(name: str, value, kind):
-    """``value`` as ``kind`` (None stays None) or, for a tuple ``kind``, one of
-    its values; a bad value names its key."""
+def _typed(name: str, value, kind, default=None):
+    """``value`` read as ``kind``: bool and str take their own type only, float and int a
+    number or numeric text but no bool, int no fraction, ``_floats`` a list or text of
+    floats, a tuple one of its values; null only where ``default`` is None."""
+    if value is None or value is REQUIRED:
+        _require(default is not REQUIRED, f"missing {name}")
+        _require(default is None, f"bad value for {name}: None")
+        return None
     if isinstance(kind, tuple):
         _require(value in kind, f"{name} must be one of {list(kind)}, got {value!r}")
         return value
+    if kind is _floats and isinstance(value, (str, list)):
+        items = value.split(",") if isinstance(value, str) else value
+        return [_typed(name, v, float, 0.0) for v in items]  # default 0.0: no null item
+    number = isinstance(value, (int, float, str)) and not isinstance(value, bool)
     try:
-        return value if value is None else kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad value for {name}: {value!r}") from None
+        if type(value) is kind or number and (kind is float or kind is int and (
+                not isinstance(value, float) or value.is_integer())):  # inf and nan are not
+            return kind(value)
+    except (ValueError, OverflowError):
+        pass
+    raise ConfigError(f"bad value for {name}: {value!r}")
 
 
 def _section(name: str, section) -> dict:
     """``section`` checked against SCHEMA: typed, with defaults filled in."""
-    section = section or {}
+    section = {} if section is None else section
     _require(isinstance(section, dict), f"config section {name!r} must be an object")
     schema, where = SCHEMA[name], ""
     if name in _VARIANT:
-        key = _VARIANT[name]
-        valid = tuple(schema)
-        variant = _typed(f"{name}.{key}", section.get(key, valid[0]), valid)
+        key, valid = _VARIANT[name], tuple(schema)
+        variant = _typed(f"{name}.{key}", section.get(key, valid[0]), valid, valid[0])
         schema, where = {key: (variant, valid), **schema[variant]}, f" for {name}.{key} {variant!r}"
     unknown = [f"{name}.{key}" for key in section if key not in schema]
     _require(not unknown, f"unknown config keys: {', '.join(unknown)}{where}")
     out = {}
     for key, (default, kind) in schema.items():
-        _require(section.get(key) is not None or default is not REQUIRED, f"missing {name}.{key}")
-        out[key] = _typed(f"{name}.{key}", section.get(key, default), kind)
+        value = section.get(key, default)
+        if type(value) is not kind and (value is not default or default is REQUIRED):
+            value = _typed(f"{name}.{key}", value, kind, default)  # a default is good as it is
+        out[key] = value
     return out
 
 
-# Everything one subcommand needs. ``sim``, ``phy_section`` and ``traffic_section``
-# are the checked sections, for ``dump_run_config``; ``sim_config`` is the SimConfig
-# of ``sim`` (None without a sim section or a rate).
-RunConfig = namedtuple("RunConfig", "phy traffic form k_values k_max lam grid sim search "
-                       "out_format out_path phy_section traffic_section sim_config",
-                       defaults=(None,))
+# Everything one subcommand needs; ``sim``, ``phy_section`` and ``traffic_section`` are
+# the checked sections, ``sim_config`` the SimConfig of ``sim`` (None without it or a rate).
+RunConfig = namedtuple(
+    "RunConfig", "phy traffic form k_values k_max lam grid sim search out_format out_path "
+    "phy_section traffic_section sim_config", defaults=(None,))
 
 
 def _phy_field(key: str) -> str:
@@ -209,11 +221,6 @@ def _parse_phy(section: dict) -> PhyProfile:
     profile = profile_for(section["standard"], values.pop("bit_rate"))
     changed = any(section[key] != default for key, (default, _) in _PHY_OPTIONS.items())
     return replace(profile, **values) if changed else profile
-
-
-def _phy_config(profile: PhyProfile, keys) -> dict:
-    values = {key: getattr(profile, _phy_field(key)) for key in keys}
-    return {k: _to_us(v) if k.endswith("_us") and v is not None else v for k, v in values.items()}
 
 
 def _parse_traffic(section: dict, lam: float) -> TrafficSpec:
@@ -241,7 +248,7 @@ def _parse_k_values(spec) -> tuple[int, ...]:
     if isinstance(spec, (str, int)) and not isinstance(spec, bool):
         spec = str(spec).split(",")
     _require(spec is None or isinstance(spec, list), f"cannot parse k specification {spec!r}")
-    return tuple(_typed("k", v, int) for v in spec or ())
+    return tuple(_typed("k", v, int, 0) for v in spec or ())
 
 
 def _parse_lambda(spec) -> tuple[float | None, GridSpec | None]:
@@ -260,6 +267,7 @@ def _parse_sim(section) -> dict:
     rates = sim["sources"]
     _require(rates is None or bool(rates) and all(0.0 < r < math.inf for r in rates),
              "every source rate must be positive and finite")
+    _require(rates is None or sum(rates) < math.inf, f"sum of source rates {rates} must be finite")
     return sim
 
 
@@ -271,7 +279,7 @@ def parse_run_config(cfg: dict) -> RunConfig:
     sim = None if cfg.get("sim") is None else _parse_sim(cfg["sim"])
     if lam is None and sim is not None and sim["sources"] is not None:
         lam = sum(sim["sources"])
-    form = _typed("form", cfg.get("form", PKForm.DETERMINISTIC_SERVICE.value), FORMS)
+    form = _typed("form", cfg.get("form", FORMS[1]), FORMS, FORMS[1])
     output = _section("output", cfg.get("output"))
     search = cfg.get("search")
     rc = RunConfig(
@@ -431,6 +439,9 @@ def _config_from_args(command: str, args: argparse.Namespace) -> dict:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
         _require(isinstance(file_cfg, dict), "config file must hold a JSON object")
+        for name in SCHEMA:  # each section, before flags merge into it; lambda may be a rate
+            _require(name == "lambda" or isinstance(file_cfg.get(name, {}), (dict, type(None))),
+                     f"config section {name!r} must be an object")
         cfg = _merge(cfg, file_cfg)
     flags: dict = {}
     for dest, names, parents, key in _FLAG_PATHS:
@@ -556,12 +567,11 @@ def _run_profiles(rc: RunConfig) -> int:
     records = []
     for std, (rates, *_) in PRESET_STANDARDS.items():
         for rate in rates:
-            profile = profile_for(std, rate)
-            records.append({
-                "standard": std.value,
-                **_phy_config(profile, ("rate_bps", *_PHY_TIMES, *_PHY_COUNTS, "ack_rate_bps")),
-                "gamma_us": overhead_gamma(profile).gamma_total * 1e6,
-            })
+            profile, record = profile_for(std, rate), {"standard": std.value}
+            for key in ("rate_bps", *_PHY_TIMES, *_PHY_COUNTS, "ack_rate_bps"):
+                value = getattr(profile, _phy_field(key))
+                record[key] = _to_us(value) if key.endswith("_us") else value
+            records.append({**record, "gamma_us": overhead_gamma(profile).gamma_total * 1e6})
     emit(records, rc.out_format, rc.out_path)
     return EXIT_OK
 

@@ -459,11 +459,14 @@ def test_sources_superpose_into_one_stream(capsys):
          "error: sum of source rates 110 must equal the traffic lambda_total 100\n"),
         (("--sources", "100,-0.5"), None, "error: every source rate must be positive and finite\n"),
         ((), {"sim": {"sources": []}}, "error: every source rate must be positive and finite\n"),
+        # each rate is finite, their sum is not
+        (("--sources", "1e308,1e308"), None,
+         "error: sum of source rates [1e+308, 1e+308] must be finite\n"),
         # a fault SimConfig finds is named before a wrong sum of the sources
         (("--lambda", "100", "--sources", "60,50", "--seed", "-1"), None,
          "error: seed must fit in 64 bits\n"),
     ],
-    ids=["sum-30", "sum-110", "negative", "empty", "seed-first"],
+    ids=["sum-30", "sum-110", "negative", "empty", "sum-overflow", "seed-first"],
 )
 def test_source_rates_are_checked_against_the_rate(tmp_path, capsys, argv, config, err):
     if config is not None:

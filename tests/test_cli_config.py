@@ -1,5 +1,6 @@
-"""CLI config checking (unknown keys, flag overrides of presets, grid
-bounds), the subcommand help pages, and the JSON layout of emitted records."""
+"""CLI config checking (unknown keys, values of the wrong type, flag
+overrides of presets, grid bounds), the subcommand help pages, and the JSON
+layout of emitted records."""
 
 import json
 import math
@@ -7,7 +8,19 @@ import re
 
 import pytest
 
-from aggdelay.cli import EXIT_CONFIG, EXIT_OK, ConfigError, emit, main, parse_run_config
+from aggdelay.cli import (
+    _VARIANT,
+    EXIT_CONFIG,
+    EXIT_OK,
+    REQUIRED,
+    SCHEMA,
+    ConfigError,
+    _floats,
+    dump_run_config,
+    emit,
+    main,
+    parse_run_config,
+)
 
 COMMANDS = ("profiles", "gain", "sweep", "threshold", "optimal-k", "simulate", "validate")
 COMMON_FLAGS = {
@@ -240,3 +253,117 @@ def test_json_records_are_laid_out_as_json_dumps(capsys, records):
     emit(records, "json", None)
     data = strict(records) if isinstance(records, dict) else [strict(r) for r in records]
     assert capsys.readouterr().out == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+# A valid section for each section and variant of SCHEMA, to put one bad value into.
+VALID_SECTIONS = {
+    ("phy", "b"): {"standard": "b"},
+    ("phy", "g"): {"standard": "g", "rate_bps": 6e6},
+    ("phy", "custom"): CUSTOM_PHY,
+    ("traffic", "deterministic"): {"payload_family": "deterministic"},
+    ("traffic", "exponential"): {"payload_family": "exponential"},
+    ("traffic", "uniform-range"): {"payload_family": "uniform-range", "uniform_lo_bits": 100.0,
+                                   "uniform_hi_bits": 200.0},
+    ("traffic", "empirical"): {"payload_family": "empirical", "empirical_values_bits": [100.0]},
+    ("lambda", None): {"min": 1.0, "max": 2.0, "points": 3},
+    ("sim", None): {},
+    ("search", None): {},
+    ("output", None): {},
+}
+
+
+def _bad_values(path, default, kind):
+    """(value, stderr) for each value that does not belong to a key of ``kind``."""
+    if default is not None and default is not REQUIRED:
+        yield None, f"error: bad value for {path}: None\n"
+    if isinstance(kind, tuple):
+        yield "nope", f"error: {path} must be one of {list(kind)}, got 'nope'\n"
+        return
+    bad = {bool: ("false",), str: (5, True), _floats: ([True],), float: (True,),
+           int: (True, 2.5, math.inf)}[kind]
+    for value in bad:
+        shown = value[0] if isinstance(value, list) else value  # an item is named alone
+        yield value, f"error: bad value for {path}: {shown!r}\n"
+
+
+def _schema_cases():
+    def case(section, variant, key, value, err):
+        valid = VALID_SECTIONS.get((section, variant), {})
+        cfg = {"k": 2, "lambda": VALID_SECTIONS["lambda", None], section: {**valid, key: value}}
+        name = ".".join(filter(None, (section, variant, key)))
+        return pytest.param(cfg, err, id=f"{name}={value!r}")
+
+    for section, key in _VARIANT.items():  # a variant key's choices were checked before
+        yield case(section, None, key, None, f"error: bad value for {section}.{key}: None\n")
+    for section, variant in VALID_SECTIONS:
+        schema = SCHEMA[section][variant] if variant else SCHEMA[section]
+        for key, (default, kind) in schema.items():
+            for value, err in _bad_values(f"{section}.{key}", default, kind):
+                yield case(section, variant, key, value, err)
+
+
+@pytest.mark.parametrize("cfg, err", _schema_cases())
+def test_each_config_value_of_the_wrong_kind_exits_2_naming_its_key(tmp_path, capsys,
+                                                                    monkeypatch, cfg, err):
+    """Every key of SCHEMA: a null where the default is not null, a bool for a number or
+    text, text for a bool, a number for text, a fraction or inf for an integer, and a
+    string outside a key's choices. The run and --dump-config reject each alike."""
+    monkeypatch.chdir(tmp_path)  # a path that was wrongly read as text stays here
+    path = config_file(tmp_path, cfg)
+    for extra in ((), ("--dump-config",)):
+        assert run(capsys, "sweep", "--config", path, *extra) == (EXIT_CONFIG, "", err)
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+@pytest.mark.parametrize("cfg, err", [
+    ({"form": None}, "error: bad value for form: None\n"),
+    ({"form": "nope"},
+     "error: form must be one of ['general-pk', 'deterministic-service'], got 'nope'\n"),
+    ({"k_max": 2.5}, "error: bad value for k_max: 2.5\n"),
+    ({"k": [True]}, "error: bad value for k: True\n"),
+    ({"k": [2, None]}, "error: bad value for k: None\n"),
+    ({"lambda": True}, "error: bad value for lambda: True\n"),
+], ids=["form-null", "form-nope", "k_max-fraction", "k-bool", "k-null", "lambda-bool"])
+def test_top_level_value_of_the_wrong_kind_exits_2(tmp_path, capsys, cfg, err):
+    path = config_file(tmp_path, {"k": 2, "lambda": 100.0, **cfg})
+    for extra in ((), ("--dump-config",)):
+        assert run(capsys, "gain", "--config", path, *extra) == (EXIT_CONFIG, "", err)
+
+
+@pytest.mark.parametrize("cfg", [
+    {"phy": {"standard": "b", "rate_bps": "11e6"}, "lambda": "100"},  # numeric text
+    {"lambda": {"min": 1, "max": 2, "points": 3.0}, "sim": {"seed": 7.0}},  # whole numbers
+])
+def test_numeric_text_and_whole_numbers_are_read(cfg):
+    rc = parse_run_config({"k": 2, **cfg})
+    plain = parse_run_config(json.loads(json.dumps(dump_run_config(rc))))
+    assert plain == rc
+
+
+@pytest.mark.parametrize("flag", [("--standard", "g", "--rate", "6e6"),
+                                  ("--payload-mean-bits", "100"), ("--format", "json")])
+def test_config_file_section_that_is_not_an_object_exits_2_before_flags_merge(
+        tmp_path, capsys, flag):
+    for section in ("phy", "traffic", "output"):
+        path = config_file(tmp_path, {section: 5})
+        assert run(capsys, "gain", "--config", path, "--k", "2", "--lambda", "100", *flag) == (
+            EXIT_CONFIG, "", f"error: config section {section!r} must be an object\n")
+
+
+@pytest.mark.parametrize("cfg", [
+    {},
+    {"traffic": {"payload_family": "exponential", "payload_mean_bytes": 125}},
+    {"phy": {"standard": "g", "rate_bps": 6e6, "caption_only_overhead": False}},
+    {"phy": {**CUSTOM_PHY, "cw": 31.0}, "lambda": {"min": 1, "max": 5, "points": 3}},
+])
+def test_dumped_config_parses_back_to_the_same_run_config(cfg):
+    rc = parse_run_config({"k": 2, **cfg})
+    assert parse_run_config(dump_run_config(rc)) == rc
+
+
+def test_dump_config_prints_microseconds_as_given(capsys):
+    # 30.75 us is 3.075e-05 s, and 3.075e-05 * 1e6 is 30.750000000000004
+    code, out, _ = run(capsys, "gain", "--backoff-literal-us", "30.75", "--k", "2",
+                       "--lambda", "100", "--dump-config")
+    assert code == EXIT_OK
+    assert json.loads(out)["phy"]["backoff_override_us"] == 30.75
