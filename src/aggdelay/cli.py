@@ -106,6 +106,7 @@ class GridSpec:
 
 
 def _floats(text: str) -> list[float]:
+    """A flag's comma-separated floats; as a SCHEMA kind, a list or text of floats."""
     return [float(v) for v in text.split(",")]
 
 
@@ -245,10 +246,9 @@ def _parse_k_values(spec) -> tuple[int, ...]:
         lo, hi = (_typed("k", part, int) for part in spec.split("..", 1))
         _require(lo <= hi, f"bad k range {spec!r}")
         return tuple(range(lo, hi + 1))
-    if isinstance(spec, (str, int)) and not isinstance(spec, bool):
-        spec = str(spec).split(",")
-    _require(spec is None or isinstance(spec, list), f"cannot parse k specification {spec!r}")
-    return tuple(_typed("k", v, int, 0) for v in spec or ())
+    if not isinstance(spec, list):  # text "2,5,8", one k, or none
+        spec = spec.split(",") if isinstance(spec, str) else [] if spec is None else [spec]
+    return tuple(_typed("k", v, int, 0) for v in spec)
 
 
 def _parse_lambda(spec) -> tuple[float | None, GridSpec | None]:

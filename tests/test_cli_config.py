@@ -322,22 +322,14 @@ def test_each_config_value_of_the_wrong_kind_exits_2_naming_its_key(tmp_path, ca
     ({"k_max": 2.5}, "error: bad value for k_max: 2.5\n"),
     ({"k": [True]}, "error: bad value for k: True\n"),
     ({"k": [2, None]}, "error: bad value for k: None\n"),
+    ({"k": 2.5}, "error: bad value for k: 2.5\n"),
     ({"lambda": True}, "error: bad value for lambda: True\n"),
-], ids=["form-null", "form-nope", "k_max-fraction", "k-bool", "k-null", "lambda-bool"])
+], ids=["form-null", "form-nope", "k_max-fraction", "k-bool", "k-null", "k-fraction",
+        "lambda-bool"])
 def test_top_level_value_of_the_wrong_kind_exits_2(tmp_path, capsys, cfg, err):
     path = config_file(tmp_path, {"k": 2, "lambda": 100.0, **cfg})
     for extra in ((), ("--dump-config",)):
         assert run(capsys, "gain", "--config", path, *extra) == (EXIT_CONFIG, "", err)
-
-
-@pytest.mark.parametrize("cfg", [
-    {"phy": {"standard": "b", "rate_bps": "11e6"}, "lambda": "100"},  # numeric text
-    {"lambda": {"min": 1, "max": 2, "points": 3.0}, "sim": {"seed": 7.0}},  # whole numbers
-])
-def test_numeric_text_and_whole_numbers_are_read(cfg):
-    rc = parse_run_config({"k": 2, **cfg})
-    plain = parse_run_config(json.loads(json.dumps(dump_run_config(rc))))
-    assert plain == rc
 
 
 @pytest.mark.parametrize("flag", [("--standard", "g", "--rate", "6e6"),
@@ -352,6 +344,8 @@ def test_config_file_section_that_is_not_an_object_exits_2_before_flags_merge(
 
 @pytest.mark.parametrize("cfg", [
     {},
+    {"phy": {"standard": "b", "rate_bps": "11e6"}, "lambda": "100"},  # numeric text
+    {"lambda": {"min": 1, "max": 2, "points": 3.0}, "sim": {"seed": 7.0}, "k": 2.0},  # whole
     {"traffic": {"payload_family": "exponential", "payload_mean_bytes": 125}},
     {"phy": {"standard": "g", "rate_bps": 6e6, "caption_only_overhead": False}},
     {"phy": {**CUSTOM_PHY, "cw": 31.0}, "lambda": {"min": 1, "max": 5, "points": 3}},
