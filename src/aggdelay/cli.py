@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from functools import cache
 from itertools import chain, groupby, repeat
 
-from .model import PKForm, TrafficSpec
+from .model import _DEFAULT_FORM, PKForm, TrafficSpec
 from .phy import PRESET_STANDARDS, PhyProfile, Standard, overhead_gamma, profile_for
 from .presets import preset
 from .sim import SimConfig, SimMode, replications, simulate, validate_against_model
@@ -71,7 +71,7 @@ def _to_us(seconds: float) -> float:
     return us
 
 
-# The values of each choice key; the first is the default, but form's is FORMS[1].
+# The values of each choice key; the first is the default, except form's.
 FORMATS = ("csv", "json")  # output.format
 GRID_KINDS = ("linear", "geometric")  # lambda.kind
 MODES = tuple(mode.value for mode in SimMode)  # sim.mode
@@ -196,10 +196,7 @@ def _section(name: str, section) -> dict:
     _require(not unknown, f"unknown config keys: {', '.join(unknown)}{where}")
     out = {}
     for key, (default, kind) in schema.items():
-        value = section.get(key, default)
-        if type(value) is not kind and (value is not default or default is REQUIRED):
-            value = _typed(f"{name}.{key}", value, kind, default)  # a default is good as it is
-        out[key] = value
+        out[key] = _typed(f"{name}.{key}", section.get(key, default), kind, default)
     return out
 
 
@@ -279,7 +276,7 @@ def parse_run_config(cfg: dict) -> RunConfig:
     sim = None if cfg.get("sim") is None else _parse_sim(cfg["sim"])
     if lam is None and sim is not None and sim["sources"] is not None:
         lam = sum(sim["sources"])
-    form = _typed("form", cfg.get("form", FORMS[1]), FORMS, FORMS[1])
+    form = _typed("form", cfg.get("form", _DEFAULT_FORM.value), FORMS, _DEFAULT_FORM.value)
     output = _section("output", cfg.get("output"))
     search = cfg.get("search")
     rc = RunConfig(
