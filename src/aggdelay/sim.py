@@ -28,22 +28,27 @@ busy period. A one-block run reduces sojourn and buffer wait exactly as
 ``np.mean``/``np.std`` over the frame arrays do; the aggregated queue-wait
 and service means are frame-weighted batch means, equal up to rounding.
 
-A run of more than 2^20 frames, in a process allowed at least two CPUs,
-draws its substreams on one helper thread, one block ahead into a second
-pair of buffers, while the calling thread runs the cumsum, the scan and
-the reductions of the block before. Each substream is still drawn by one
-thread in frame order, and a draw in blocks equals one whole draw value
-for value, so no output byte depends on the thread or the CPU count. A
-shorter run stays on the calling thread: on two CPUs its hand-offs cost
-more than the overlap gains. The helper ends with the call, whether it
-returns or raises.
+A run of more than 2^19 frames, in a process allowed at least two CPUs,
+draws its substreams on one plain helper thread, one block ahead into a
+second pair of buffers, while the calling thread runs the cumsum, the
+scan and the reductions of the block before. Each substream is still
+drawn by one thread in frame order, and a draw in blocks equals one whole
+draw value for value, so no output byte depends on the thread or the CPU
+count. A shorter run stays on the calling thread: on two CPUs its
+hand-offs cost more than the overlap gains. The helper ends with the
+call, whether it returns or raises.
+
+The block buffers live in a holder that one caller passes through its
+runs: ``simulate`` takes a fresh one, and ``replications`` one per call,
+which all of its seeds reuse, so a short run does not fault its arrays
+in again for every seed.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from contextlib import nullcontext
+import threading
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -232,40 +237,81 @@ class _Draws:
         gaps *= self.scale  # bitwise rng.exponential(scale)
 
 
-def _drawn(draws: _Draws, pool, n: int, block: int):
+class _Buffers:
+    """Block-sized arrays kept for the next run that asks for the same shape.
+
+    One holder serves one caller's runs in turn, never two runs at once.
+    """
+
+    __slots__ = ("arrays",)
+
+    def __init__(self) -> None:
+        self.arrays: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        array = self.arrays.get(name)
+        if array is None or array.shape != shape:
+            array = self.arrays[name] = np.empty(shape)
+        return array
+
+
+def _drawn(draws: _Draws, buffers: _Buffers, n: int, block: int, threaded: bool):
     """Each block's draws, in frame order, for a run of ``n`` frames.
 
     Yields the block's inter-arrival times and its whole batches' service
     times, in buffers the caller may overwrite until it asks for the next
-    block. Without a pool the calling thread draws each block when asked,
-    into one reused pair of buffers. With one, the pool's thread draws one
+    block. Unthreaded, the calling thread draws each block when asked,
+    into one reused pair of buffers. Threaded, a helper thread draws one
     block ahead into a second pair, so that it can go on while the caller
-    still reduces the block before: asking for block i releases the pair
-    of block i - 1, which then takes the draws of block i + 1. That fill is
-    queued before block i is awaited, so the thread never idles between
-    two fills.
+    still reduces the block before: asking for block i frees the pair of
+    block i - 1, which then takes the draws of block i + 1. A failure on
+    the helper is raised on the caller, and the helper is joined when the
+    generator ends, is closed or raises.
     """
-    slots = 2 if pool else 1
-    gaps = np.empty((slots, min(block, n)))
-    service = np.empty((slots, gaps.shape[1] // draws.k))
+    slots = 2 if threaded else 1
+    gaps = buffers.take("gaps", (slots, min(block, n)))
+    service = buffers.take("service", (slots, gaps.shape[1] // draws.k))
 
-    def buffers(i):
+    def pair(i):
         size = min(block, n - i * block)
         return gaps[i % slots, :size], service[i % slots, : size // draws.k]
 
     count = -(-n // block)
-    if pool is None:
+    if not threaded:
         for i in range(count):
-            draws.fill(*buffers(i))
-            yield buffers(i)
+            draws.fill(*pair(i))
+            yield pair(i)
         return
-    pending = pool.submit(draws.fill, *buffers(0))
-    for i in range(count):
-        current = pending
-        if i + 1 < count:
-            pending = pool.submit(draws.fill, *buffers(i + 1))
-        current.result()
-        yield buffers(i)
+    free = threading.Semaphore(slots)  # pairs the helper may fill
+    ready = threading.Semaphore(0)  # filled pairs, or a failure
+    failure: list[BaseException] = []
+    stop = False
+
+    def helper():
+        try:
+            for i in range(count):
+                free.acquire()
+                if stop:
+                    return
+                draws.fill(*pair(i))
+                ready.release()
+        except BaseException as exc:  # raised again on the caller
+            failure.append(exc)
+            ready.release()
+
+    thread = threading.Thread(target=helper, name="aggdelay-draws", daemon=True)
+    thread.start()
+    try:
+        for i in range(count):
+            ready.acquire()
+            if failure:
+                raise failure[0]
+            yield pair(i)
+            free.release()
+    finally:
+        stop = True
+        free.release()  # wakes a helper that waits for a pair
+        thread.join()
 
 
 def _usable_cpus() -> int:
@@ -370,10 +416,12 @@ class _Moments:
 _BLOCK_FRAMES = 1 << 16
 #: A run of more than this many frames draws on a helper thread where two
 #: CPUs are usable; a shorter one loses more to the hand-offs than it gains.
-_THREAD_FRAMES = 1 << 20
+#: In interleaved pairs on 2 vCPUs the helper won every set from 10 blocks
+#: up, won most but not all sets at 4 to 8, and mostly lost at 2 to 3.
+_THREAD_FRAMES = 1 << 19
 
 
-def simulate(config: SimConfig) -> SimResult:
+def simulate(config: SimConfig, *, _buffers: _Buffers | None = None) -> SimResult:
     """Run one seeded FIFO single-server simulation.
 
     Frames are generated up to ``num_frames`` arrivals; statistics cover
@@ -387,7 +435,8 @@ def simulate(config: SimConfig) -> SimResult:
     does not grow with ``num_frames``. Queue-wait and service means are
     taken over batches, each weighted by its measured frames. A run of
     more than ``_THREAD_FRAMES`` frames draws one block ahead on a helper
-    thread when two CPUs are usable (module docstring).
+    thread when two CPUs are usable (module docstring). ``_buffers`` is the
+    private holder of the block buffers: a fresh one when not given.
     """
     aggregated = config.mode is SimMode.AGGREGATED
     k = config.k
@@ -396,14 +445,15 @@ def simulate(config: SimConfig) -> SimResult:
     block = k * max(1, _BLOCK_FRAMES // k)
     threaded = n > _THREAD_FRAMES and _usable_cpus() > 1
     draws = _Draws(config)
+    buffers = _Buffers() if _buffers is None else _buffers
 
     # Reused by every block: batch queue waits, and scratch for the Lindley
     # scan, then the gaps between batches, then (aggregated mode) the
     # frames' buffer waits and sojourns. Arrival times are summed in place
     # over the drawn gaps: summing into one more block-sized buffer measured
     # slower on one thread.
-    scratch = np.empty(min(block, n))
-    waits = np.empty(scratch.size // k)
+    scratch = buffers.take("scratch", (min(block, n),))
+    waits = buffers.take("waits", (scratch.size // k,))
 
     sojourn, buffer_wait, queue_wait, service = (_Moments() for _ in range(4))
     gaps = _Moments()  # between consecutive batch formations (all batches)
@@ -413,14 +463,9 @@ def simulate(config: SimConfig) -> SimResult:
     last_mark = math.nan
     s_sum, s_peak = 0.0, -math.inf
     completed = 0
-    if threaded:
-        from concurrent.futures import ThreadPoolExecutor  # loads logging: not at import
-
-        helper = ThreadPoolExecutor(1)
-    else:
-        helper = nullcontext()
-    with helper as pool:
-        for i, (inter, batch_service) in enumerate(_drawn(draws, pool, n, block)):
+    blocks = _drawn(draws, buffers, n, block, threaded)
+    try:
+        for i, (inter, batch_service) in enumerate(blocks):
             first = i * block
             inter[0] += last_arrival  # bitwise the whole-run cumsum
             arrivals = np.cumsum(inter, out=inter)
@@ -460,6 +505,8 @@ def simulate(config: SimConfig) -> SimResult:
             else:
                 batch_wait += batch_service  # waits become sojourns in place
                 sojourn.add(batch_wait)
+    finally:
+        blocks.close()  # joins the helper now, also when a block raises
 
     warmup_excluded = min(warmup, completed)
     if not aggregated:
@@ -550,5 +597,10 @@ def validate_against_model(
 
 
 def replications(config: SimConfig, seeds) -> list[tuple[int, SimResult]]:
-    """Run the same configuration under each seed, all checked first; one result per seed."""
-    return [(c.seed, simulate(c)) for c in [replace(config, seed=int(s)) for s in seeds]]
+    """Run the same configuration under each seed, all checked first; one result per seed.
+
+    The seeds' runs share one holder of block buffers.
+    """
+    configs = [replace(config, seed=int(s)) for s in seeds]
+    buffers = _Buffers()
+    return [(c.seed, simulate(c, _buffers=buffers)) for c in configs]

@@ -1,11 +1,13 @@
-"""Draws in blocks and the helper thread of the simulator.
+"""Draws in blocks, the helper thread and the block buffers of the simulator.
 
 A run draws its three substreams a block at a time, and a run of more than
-2^20 frames draws them on a helper thread, one block ahead into a second
+2^19 frames draws them on a helper thread, one block ahead into a second
 pair of buffers, when two CPUs are usable. These tests pin that draws in
 blocks equal one whole draw with numpy's own samplers, that the helper
 never refills a block the caller still holds, that the thread changes no
-result, and that no thread outlives a call, whether it returns or raises.
+result, that no thread outlives a call, whether it returns or raises on
+either thread, and that the seeds of one ``replications`` call reuse their
+block buffers without changing a result.
 """
 
 import hashlib
@@ -14,14 +16,15 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aggdelay import PayloadFamily, SimConfig, SimMode, TrafficSpec, overhead_gamma, simulate
+from aggdelay import (
+    PayloadFamily, SimConfig, SimMode, TrafficSpec, overhead_gamma, replications, simulate,
+)
 import aggdelay.sim as sim_module
 from aggdelay.cli import EXIT_SIM, _render, main
 from aggdelay.phy import profile_for
@@ -112,13 +115,13 @@ def test_the_helper_never_refills_a_block_the_caller_holds(phy_b11, exp800):
         mode=SimMode.AGGREGATED, phy=phy_b11, traffic=exp800, seed=8, num_frames=6_007, k=3
     )
     held = []
-    with ThreadPoolExecutor(1) as pool:
-        for gaps, service in sim_module._drawn(sim_module._Draws(config), pool, 6_007, 300):
-            copy = gaps.copy(), service.copy()
-            time.sleep(0.005)
-            assert np.array_equal(gaps, copy[0]) and np.array_equal(service, copy[1])
-            held.append(copy)
-    alone = sim_module._drawn(sim_module._Draws(config), None, 6_007, 300)
+    threaded = sim_module._drawn(sim_module._Draws(config), sim_module._Buffers(), 6_007, 300, True)
+    for gaps, service in threaded:
+        copy = gaps.copy(), service.copy()
+        time.sleep(0.005)
+        assert np.array_equal(gaps, copy[0]) and np.array_equal(service, copy[1])
+        held.append(copy)
+    alone = sim_module._drawn(sim_module._Draws(config), sim_module._Buffers(), 6_007, 300, False)
     pairs = [(gaps.copy(), service.copy()) for gaps, service in alone]
     assert len(held) == len(pairs) == 21
     for (gaps, service), (want_gaps, want_service) in zip(held, pairs):
@@ -137,6 +140,13 @@ def started(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", record)
     return threads
+
+
+#: A CLI run of 20,000 frames: threaded, 29 blocks under ``_small_blocks``.
+SIMULATE_ARGV = [
+    "simulate", "--lambda", "300", "--payload-family", "exponential",
+    "--payload-mean-bits", "800", "--seed", "4", "--frames", "20000",
+]
 
 
 def _small_blocks(monkeypatch, cpus=2):
@@ -165,17 +175,20 @@ def test_helper_thread_changes_no_result(monkeypatch, phy_b11, traffic, mode, k,
 def test_concurrent_threaded_runs_under_fast_thread_switching(monkeypatch, phy_b11, exp800):
     # Four callers, each with its own helper (more threads than CPUs), hand
     # off 64-frame blocks while the interpreter switches threads often.
+    # Each makes one replications call, with its own block buffers.
     monkeypatch.setattr(sim_module, "_BLOCK_FRAMES", 64)
     monkeypatch.setattr(sim_module, "_THREAD_FRAMES", 1024)
     monkeypatch.setattr(sim_module, "_usable_cpus", lambda: 2)
-    configs = [
-        SimConfig(mode=SimMode.AGGREGATED, phy=phy_b11, traffic=exp800, seed=s, num_frames=12_001, k=3)
-        for s in range(4)
-    ]
+    aggregated = SimConfig(
+        mode=SimMode.AGGREGATED, phy=phy_b11, traffic=exp800, seed=0, num_frames=12_001, k=3
+    )
+    standard = SimConfig(mode=SimMode.STANDARD, phy=phy_b11, traffic=exp800, seed=0, num_frames=4_001)
+    configs = [aggregated, standard, aggregated, standard]
+    seeds = [(2 * i, 2 * i + 1) for i in range(len(configs))]
     results = [None] * len(configs)
 
     def run(i):
-        results[i] = simulate(configs[i])
+        results[i] = replications(configs[i], seeds[i])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -189,7 +202,8 @@ def test_concurrent_threaded_runs_under_fast_thread_switching(monkeypatch, phy_b
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
     monkeypatch.setattr(sim_module, "_usable_cpus", lambda: 1)
-    assert results == [simulate(config) for config in configs]
+    for config, pairs, pair_seeds in zip(configs, results, seeds):
+        assert pairs == [(s, simulate(replace(config, seed=s))) for s in pair_seeds]
 
 
 def test_no_thread_outlives_a_run(monkeypatch, phy_b11, exp800, started):
@@ -201,31 +215,38 @@ def test_no_thread_outlives_a_run(monkeypatch, phy_b11, exp800, started):
     assert threading.active_count() == before
 
 
-def test_a_failing_draw_ends_the_run_and_its_thread(monkeypatch, phy_b11, exp800, started):
+@pytest.mark.parametrize(
+    "name, on_helper",
+    [("_sample_payloads", True), ("_fifo_waits", False)],
+    ids=["draw-on-the-helper", "block-on-the-caller"],
+)
+def test_a_failure_on_either_thread_ends_the_run_and_its_thread(
+    monkeypatch, phy_b11, exp800, started, name, on_helper
+):
     _small_blocks(monkeypatch)
-    sample = sim_module._sample_payloads
+    original = getattr(sim_module, name)
     calls = []
 
-    def fail_second_call(*args):
+    def fail_second_call(*args, **kwargs):
         calls.append(threading.current_thread())
         if len(calls) == 2:
-            raise RuntimeError("draw failed")
-        return sample(*args)
+            raise RuntimeError("second call failed")
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(sim_module, "_sample_payloads", fail_second_call)
+    monkeypatch.setattr(sim_module, name, fail_second_call)
     before = threading.active_count()
     config = SimConfig(mode=SimMode.STANDARD, phy=phy_b11, traffic=exp800, seed=4, num_frames=20_000)
-    with pytest.raises(RuntimeError, match="draw failed"):
+    try:
         simulate(config)
-    assert calls[1] is started[0]  # it failed on the helper thread
+    except RuntimeError as exc:  # its traceback keeps the run's frame alive
+        failure = exc
+    assert str(failure) == "second call failed"
+    assert calls[1] is (started[0] if on_helper else threading.current_thread())
+    assert len(started) == 1 and not started[0].is_alive()
     assert threading.active_count() == before
 
     calls.clear()
-    argv = [
-        "simulate", "--lambda", "300", "--payload-family", "exponential",
-        "--payload-mean-bits", "800", "--seed", "4", "--frames", "20000",
-    ]
-    assert main(argv) == EXIT_SIM
+    assert main(SIMULATE_ARGV) == EXIT_SIM
     assert len(started) == 2
     assert threading.active_count() == before
 
@@ -234,8 +255,8 @@ def test_a_one_block_run_or_a_single_cpu_starts_no_thread(monkeypatch, phy_b11, 
     config = SimConfig(mode=SimMode.STANDARD, phy=phy_b11, traffic=exp800, seed=4, num_frames=50_000)
     monkeypatch.setattr(sim_module, "_usable_cpus", lambda: 2)
     simulate(config)  # one default block
-    assert (1 << 20) // sim_module._BLOCK_FRAMES == 16
-    simulate(replace(config, num_frames=1 << 20))  # 16 default blocks, not above the thread threshold
+    assert (1 << 19) // sim_module._BLOCK_FRAMES == 8
+    simulate(replace(config, num_frames=1 << 19))  # 8 default blocks, not above the thread threshold
     _small_blocks(monkeypatch, cpus=1)
     simulate(config)  # 72 blocks, one CPU
     assert started == []
@@ -249,14 +270,55 @@ def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
 
 
 def test_importing_the_cli_loads_no_thread_pool():
-    # concurrent.futures loads logging: only a threaded run imports it
+    # concurrent.futures (which loads logging) is not needed: the helper is
+    # a plain thread. The run is threaded whatever the CPUs really are.
     package_root = str(Path(sim_module.__file__).parents[1])
-    code = (
-        f"import sys; sys.path.insert(0, {package_root!r}); import aggdelay.cli; "
-        "print('concurrent.futures' in sys.modules)"
-    )
+    code = f"""
+import os, sys, threading
+sys.path.insert(0, {package_root!r})
+import aggdelay.cli, aggdelay.sim as sim
+
+def loaded():
+    return [name for name in ("concurrent.futures", "logging") if name in sys.modules]
+
+print(loaded())
+sim._BLOCK_FRAMES, sim._THREAD_FRAMES, sim._usable_cpus = 700, 3000, lambda: 2
+before = threading.active_count()
+start, started = threading.Thread.start, []
+threading.Thread.start = lambda thread: (started.append(thread), start(thread))[1]
+argv = {SIMULATE_ARGV!r} + ["--output", os.devnull]
+assert aggdelay.cli.main(argv) == 0
+assert len(started) == 1 and threading.active_count() == before
+print(loaded())
+"""
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n") == ["[]", "[]", ""]
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one-thread", "helper"])
+@pytest.mark.parametrize("traffic", FAMILIES, ids=_family_id)
+@pytest.mark.parametrize("mode, k", MODES)
+def test_reused_buffers_change_no_result(monkeypatch, phy_b11, traffic, mode, k, cpus):
+    # 5 blocks, the last one partial: each seed overwrites the buffers of
+    # the seed before, and must read none of what that seed left there.
+    _small_blocks(monkeypatch, cpus)
+    config = SimConfig(
+        mode=mode, phy=phy_b11, traffic=traffic, seed=40, num_frames=3_403,
+        warmup_frames=500, k=k,
+    )
+    holders = []
+
+    class Recorded(sim_module._Buffers):
+        def take(self, name, shape):
+            array = super().take(name, shape)
+            holders.append((self, name, id(array)))
+            return array
+
+    monkeypatch.setattr(sim_module, "_Buffers", Recorded)
+    pairs = replications(config, [40, 41, 7, 40])
+    assert len({holder for holder, _, _ in holders}) == 1  # one holder per call
+    assert len(set(holders)) == 4  # gaps, service, scratch, waits: each made once
+    assert pairs == [(s, simulate(replace(config, seed=s))) for s in (40, 41, 7, 40)]
 
 
 _B11 = profile_for("b", 11e6)
