@@ -21,11 +21,12 @@ from dataclasses import asdict, dataclass, fields, replace
 from functools import cache
 from itertools import chain, groupby, repeat
 
-from .model import _DEFAULT_FORM, PKForm, TrafficSpec
+from .model import _DEFAULT_FORM, PKForm, TrafficSpec, _check_k, _check_lambda
 from .phy import PRESET_STANDARDS, PhyProfile, Standard, overhead_gamma, profile_for
 from .presets import preset
 from .sim import SimConfig, SimMode, replications, simulate, validate_against_model
-from .solver import GainGrid, SearchParams, gain_grid, lambda_thresholds, optimal_k
+from .solver import (OPTIMAL_K_CHUNK, GainGrid, SearchParams, gain_grid, lambda_thresholds,
+                     optimal_k)
 # lambda_threshold stays importable from this module, where profilers wrap it.
 from .solver import lambda_threshold  # noqa: F401
 
@@ -80,7 +81,8 @@ FORMS = tuple(form.value for form in PKForm)
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Arrival-rate grid: ``points`` values from min to max inclusive."""
+    """Arrival-rate grid: ``points`` values from min to max inclusive. ``rates`` gives
+    any index range of them, so a sweep never holds more of the grid than one chunk."""
 
     kind: str
     min: float
@@ -93,16 +95,22 @@ class GridSpec:
         _require(0.0 < self.min < self.max, "grid needs 0 < min < max")
         _require(self.points >= 2, "grid needs points >= 2")
 
-    def values(self) -> list[float]:
+    def rates(self, start: int, stop: int) -> list[float]:
+        """The rates at indices ``start`` to ``stop - 1``, each from its own index, and max
+        at the last index: any split of ``range(points)`` joins to ``values()`` bit for bit."""
         n = self.points
         if self.kind == "linear":
             step = (self.max - self.min) / (n - 1)
-            vals = [self.min + i * step for i in range(n)]
+            vals = [self.min + i * step for i in range(start, stop)]
         else:
             ratio = (self.max / self.min) ** (1.0 / (n - 1))
-            vals = [self.min * ratio**i for i in range(n)]
-        vals[-1] = self.max
+            vals = [self.min * ratio**i for i in range(start, stop)]
+        if stop == n and vals:
+            vals[-1] = self.max
         return vals
+
+    def values(self) -> list[float]:
+        return self.rates(0, self.points)
 
 
 def _floats(text: str) -> list[float]:
@@ -513,49 +521,68 @@ _JSON_ROW = ",\n    ".join(f'"{name}": ' + {"k": "{k}", "service_mean_s": "{mean
 
 
 def _json_numbers(values: list) -> list:
-    """JSON cells of floats: json's own repr, _json_value's strings if the sum is not finite."""
+    """JSON cells of floats for a ``%s`` template: the floats themselves if their sum is
+    finite (``str`` of a float is json's own repr), else their repr with _json_value's
+    strings in place of inf, -inf and nan."""
+    if math.isfinite(sum(values)):
+        return values
     cells = list(map(float.__repr__, values))
-    return cells if math.isfinite(sum(values)) else list(map(_JSON_NONFINITE.get, cells, cells))
+    return list(map(_JSON_NONFINITE.get, cells, cells))
 
 
-def sweep_csv(grid: GainGrid) -> str:
-    """``_render`` CSV text of a sweep, formatted column by column, one ``%`` call per k-row
-    over a row template with each rate's cell in place (``"%.12g" % x`` is ``fmt(x)``)."""
+def sweep_csv(grid: GainGrid, write, lead: str) -> None:
+    """Write a sweep chunk's CSV text (``_render``'s bytes) through ``write``: ``lead`` (the
+    header, or nothing after an earlier chunk), then each k-row as soon as it is formatted,
+    in one ``%`` call over a row template with each rate's cell in place (``"%.12g" % x`` is
+    ``fmt(x)``)."""
     c, n = grid.columns, len(grid.lam_values)
     template = "".join("%%s,%.12g,%%.12g,%%s,%%.12g,%%.12g,%%.12g,%%.12g,%%s\n" % lam
                        for lam in grid.lam_values)
-    lines = [SWEEP_HEADER + "\n"]
+    write(lead)
     for i, k in enumerate(grid.k_values):
         mean = "%.12g" % c.service_mean.item(i, 0)
-        lines.append(template % tuple(chain.from_iterable(zip(
+        write(template % tuple(chain.from_iterable(zip(
             repeat(k, n), c.erlang_wait[i].tolist(), repeat(mean, n), c.rho[i].tolist(),
             c.queue_wait[i].tolist(), c.system_time[i].tolist(), c.gain[i].tolist(),
             map(_BOOL_CELL, c.stable[i].tolist())))))
-    return "".join(lines)
 
 
-def sweep_json(grid: GainGrid) -> str:
-    """``_render`` JSON text of a sweep, formatted column by column, one k-row at a time."""
+def sweep_json(grid: GainGrid, write, lead: str) -> None:
+    """Write a sweep chunk's JSON records (``_render``'s bytes) through ``write``, formatted
+    column by column, each k-row as soon as it is formatted: ``lead`` (the list's opening,
+    or the record separator after an earlier chunk) before the first k-row, the record
+    separator before each later one."""
     c = grid.columns
-    lam, items = list(map(float.__repr__, grid.lam_values)), []
+    lam = list(map(float.__repr__, grid.lam_values))
     for i, k in enumerate(grid.k_values):
         line = _JSON_ROW.format(k=k, mean=float.__repr__(c.service_mean.item(i, 0))).__mod__
         erlang, gain, wait, rho, total = (_json_numbers(value[i].tolist()) for value in (
             c.erlang_wait, c.gain, c.queue_wait, c.rho, c.system_time))
         stable = map(_BOOL_CELL, c.stable[i].tolist())
-        items.append(_JSON_SEP.join(map(line, zip(erlang, gain, lam, wait, rho, stable, total))))
-    return "[\n  {\n    " + _JSON_SEP.join(items) + "\n  }\n]\n"
+        write(lead)
+        write(_JSON_SEP.join(map(line, zip(erlang, gain, lam, wait, rho, stable, total))))
+        lead = _JSON_SEP
+
+
+# A sweep's text around its chunks: before the first, before each later one, after the last.
+_SWEEP_ENDS = {"csv": (SWEEP_HEADER + "\n", "", ""),
+               "json": ("[\n  {\n    ", _JSON_SEP, "\n  }\n]\n")}
 
 
 def emit(records, out_format: str, path: str | None) -> None:
-    """Write records (dicts, or a GainGrid via sweep_csv/sweep_json) to path or stdout."""
-    if isinstance(records, GainGrid):
-        text = sweep_csv(records) if out_format == "csv" else sweep_json(records)
-    else:
-        text = _render(records, out_format)
+    """Write records to path or stdout: a dict or a list of dicts as ``_render`` text, or a
+    sweep as an iterator of ``GainGrid`` chunks through ``sweep_csv``/``sweep_json``. A
+    sweep is written as it is produced, so a failed write can leave a partial file."""
     try:
         with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
-            fh.write(text)
+            if isinstance(records, (dict, list)):
+                fh.write(_render(records, out_format))
+                return
+            lead, later, end = _SWEEP_ENDS[out_format]
+            for grid in records:
+                (sweep_csv if out_format == "csv" else sweep_json)(grid, fh.write, lead)
+                lead = later
+            fh.write(end)
     except OSError as exc:
         raise ConfigError(f"cannot write output: {exc}") from None
 
@@ -583,9 +610,22 @@ def _run_sweep(rc: RunConfig) -> int:
     _require(bool(rc.k_values), "sweep needs --k")
     _require(rc.grid is not None or rc.lam is not None,
              "sweep needs --lambda (grid MIN:MAX:POINTS or a single rate)")
-    lam_values = [rc.lam] if rc.grid is None else rc.grid.values()
-    rows = gain_grid(rc.k_values, lam_values, rc.phy, rc.traffic, rc.form)
-    emit(rows, rc.out_format, rc.out_path)
+    if rc.grid is None:
+        n, rates = 1, lambda start, stop: [rc.lam]
+    else:
+        n, rates = rc.grid.points, rc.grid.rates
+    # Kernel calls of at most OPTIMAL_K_CHUNK points, k outer: whole k-rows while they
+    # fit, else one k-row's rates a chunk at a time.
+    spans = [(start, min(start + OPTIMAL_K_CHUNK, n)) for start in range(0, n, OPTIMAL_K_CHUNK)]
+    rows = max(OPTIMAL_K_CHUNK // n, 1)
+    for k in rc.k_values:  # gain_grid's checks of the whole grid, before the first byte
+        _check_k(k)
+    for start, stop in spans:
+        for lam in rates(start, stop):
+            _check_lambda(lam)
+    chunks = (gain_grid(rc.k_values[i:i + rows], rates(start, stop), rc.phy, rc.traffic, rc.form)
+              for i in range(0, len(rc.k_values), rows) for start, stop in spans)
+    emit(chunks, rc.out_format, rc.out_path)
     return EXIT_OK
 
 

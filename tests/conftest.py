@@ -1,6 +1,10 @@
+import io
+from contextlib import redirect_stdout
+
 import pytest
 
 from aggdelay import PhyProfile, Standard, TrafficSpec, profile_for
+from aggdelay.cli import emit
 
 
 @pytest.fixture
@@ -42,3 +46,11 @@ def custom_profile(**overrides) -> PhyProfile:
     )
     fields.update(overrides)
     return PhyProfile(**fields)
+
+
+def sweep_text(grid, out_format: str = "csv") -> str:
+    """What ``emit`` writes to stdout for a sweep of the one chunk ``grid``."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        emit(iter([grid]), out_format, None)
+    return out.getvalue()

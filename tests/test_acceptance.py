@@ -38,9 +38,9 @@ from aggdelay import (
     system_time,
     validate_against_model,
 )
-from aggdelay.cli import _render, parse_run_config, sweep_csv
+from aggdelay.cli import _render, parse_run_config
 from aggdelay.presets import preset
-from conftest import custom_profile
+from conftest import custom_profile, sweep_text
 
 F1_100 = 6.311718220197248e-4
 F5_100 = 2.091047070008329e-2
@@ -245,8 +245,8 @@ def test_criterion_6_determinism(phy_b11, exp800):
         assert first.encode() == second.encode()
         rc = parse_run_config(preset("fig3"))
         lam_values = rc.grid.values()
-        first = sweep_csv(gain_grid(rc.k_values, lam_values, rc.phy, rc.traffic, rc.form))
-        second = sweep_csv(gain_grid(rc.k_values, lam_values, rc.phy, rc.traffic, rc.form))
+        first = sweep_text(gain_grid(rc.k_values, lam_values, rc.phy, rc.traffic, rc.form))
+        second = sweep_text(gain_grid(rc.k_values, lam_values, rc.phy, rc.traffic, rc.form))
         assert first.encode() == second.encode()
 
 

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aggdelay import PKForm, TrafficSpec, gain_grid, profile_for
-from aggdelay.cli import SWEEP_HEADER, _render, fmt, sweep_csv
-from conftest import custom_profile
+from aggdelay.cli import SWEEP_HEADER, _render, fmt
+from conftest import custom_profile, sweep_text
 
 SPECIAL_FLOATS = (
     0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
@@ -84,13 +84,13 @@ GRIDS = [
 @pytest.mark.parametrize("phy, traffic, k_values, lams", GRIDS)
 def test_sweep_csv_equals_the_per_cell_writer(phy, traffic, k_values, lams, form):
     grid = gain_grid(k_values, lams, phy, traffic, form)
-    assert sweep_csv(grid) == per_cell_sweep_csv(grid)
+    assert sweep_text(grid) == per_cell_sweep_csv(grid)
 
 
 def test_sweep_grids_reach_every_non_finite_cell():
     cells = set()
     for phy, traffic, k_values, lams in GRIDS:
-        text = sweep_csv(gain_grid(k_values, lams, phy, traffic, PKForm.GENERAL_PK))
+        text = sweep_text(gain_grid(k_values, lams, phy, traffic, PKForm.GENERAL_PK))
         cells.update(text.replace("\n", ",").split(","))
     assert {"inf", "-inf", "nan", "true", "false"} <= cells
 
@@ -100,7 +100,7 @@ def test_sweep_grids_reach_every_non_finite_cell():
        st.lists(st.floats(1e-3, 1e5), min_size=1, max_size=40), st.sampled_from(list(PKForm)))
 def test_sweep_csv_equals_the_per_cell_writer_on_any_grid(k_values, lams, form):
     grid = gain_grid(k_values, lams, profile_for("b", 1e6), TrafficSpec.exponential(1.0, 800.0), form)
-    assert sweep_csv(grid) == per_cell_sweep_csv(grid)
+    assert sweep_text(grid) == per_cell_sweep_csv(grid)
 
 
 @pytest.mark.parametrize("k_values, lams", [((2, 5, 9), [10.0, 500.0, 1e4]), ((4,), [100.0])])

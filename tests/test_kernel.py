@@ -26,8 +26,8 @@ from aggdelay import (
     overhead_gamma,
     profile_for,
 )
-from aggdelay.cli import _SWEEP_FIELDS, _render, fmt, sweep_csv, sweep_json
-from conftest import custom_profile
+from aggdelay.cli import _SWEEP_FIELDS, _render, fmt
+from conftest import custom_profile, sweep_text
 
 DET = PKForm.DETERMINISTIC_SERVICE
 FIELDS = ("erlang_wait", "service_mean", "service_variance", "lambda_a", "rho",
@@ -190,8 +190,8 @@ def test_columnar_sweep_text_matches_the_per_record_route():
         for form in PKForm:
             grid = gain_grid(k_values, lams, phy, traffic, form)
             records = [dict(zip(_SWEEP_FIELDS, row_values(row))) for row in list(grid)]
-            assert sweep_csv(grid) == _render(records, "csv")
-            assert sweep_json(grid) == _render(records, "json")
+            assert sweep_text(grid, "csv") == _render(records, "csv")
+            assert sweep_text(grid, "json") == _render(records, "json")
             gains.update("finite" if math.isfinite(g) and g else fmt(g) for g in grid.columns.gain.flat)
     assert gains == {"0", "finite", "inf", "-inf", "nan"}
 
