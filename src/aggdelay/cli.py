@@ -21,12 +21,12 @@ from dataclasses import asdict, dataclass, fields, replace
 from functools import cache
 from itertools import chain, groupby, repeat
 
-from .model import _DEFAULT_FORM, PKForm, TrafficSpec, _check_k, _check_lambda
+from .model import _DEFAULT_FORM, PKForm, TrafficSpec, _check_k, _check_rates
 from .phy import PRESET_STANDARDS, PhyProfile, Standard, overhead_gamma, profile_for
 from .presets import preset
 from .sim import SimConfig, SimMode, replications, simulate, validate_against_model
-from .solver import (OPTIMAL_K_CHUNK, GainGrid, SearchParams, gain_grid, lambda_thresholds,
-                     optimal_k)
+from .solver import (OPTIMAL_K_CHUNK, GainGrid, SearchParams, gain_grid, optimal_k,
+                     threshold_chunks)
 # lambda_threshold stays importable from this module, where profilers wrap it.
 from .solver import lambda_threshold  # noqa: F401
 
@@ -510,11 +510,13 @@ SWEEP_HEADER = (
     "k,lambda,erlang_wait_s,service_mean_s,rho,queue_wait_s,"
     "system_time_s,gain_s,stable"
 )
+THRESHOLD_HEADER = "k,lambda_star,lambda_low,lambda_high,iterations,converged,note"
 # Column -> QueueMetrics attribute: the column without its unit suffix, lam for lambda.
 _SWEEP_FIELDS = {column: "lam" if column == "lambda" else column.removesuffix("_s")
                  for column in SWEEP_HEADER.split(",")}
 _JSON_NONFINITE = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
 _JSON_SEP = "\n  },\n  {\n    "  # between two records of json.dumps(indent=2)
+_JSON_ENDS = ("[\n  {\n    ", _JSON_SEP, "\n  }\n]\n")  # a JSON stream's lead, separator, end
 # One sweep JSON record's body, keys sorted: {k} and {mean} are filled once per k, % the rest.
 _JSON_ROW = ",\n    ".join(f'"{name}": ' + {"k": "{k}", "service_mean_s": "{mean}"}.get(name, "%s")
                            for name in sorted(_SWEEP_FIELDS))
@@ -564,23 +566,40 @@ def sweep_json(grid: GainGrid, write, lead: str) -> None:
         lead = _JSON_SEP
 
 
-# A sweep's text around its chunks: before the first, before each later one, after the last.
-_SWEEP_ENDS = {"csv": (SWEEP_HEADER + "\n", "", ""),
-               "json": ("[\n  {\n    ", _JSON_SEP, "\n  }\n]\n")}
+def threshold_csv(results: list, write, lead: str) -> None:
+    """Write ``lead`` and a threshold chunk's CSV rows (``_render``'s bytes) in one ``%`` call."""
+    k, star, bracket, steps, converged, note = zip(*results)
+    write(lead + "%s,%.12g,%.12g,%.12g,%s,%s,%s\n" * len(results) % tuple(chain.from_iterable(
+        zip(k, star, *zip(*bracket), steps, map(_BOOL_CELL, converged), note))))
+
+
+def threshold_json(results: list, write, lead: str) -> None:
+    """Write ``lead`` and a threshold chunk's JSON records: ``_render`` text less the list's
+    opening and end, which ``emit`` writes."""
+    keys = THRESHOLD_HEADER.split(",")
+    records = [dict(zip(keys, (k, star, *bracket, *rest))) for k, star, bracket, *rest in results]
+    write(lead + _render(records, "json")[10:-7])
 
 
 def emit(records, out_format: str, path: str | None) -> None:
     """Write records to path or stdout: a dict or a list of dicts as ``_render`` text, or a
-    sweep as an iterator of ``GainGrid`` chunks through ``sweep_csv``/``sweep_json``. A
-    sweep is written as it is produced, so a failed write can leave a partial file."""
+    stream, an iterator of chunks: a sweep's ``GainGrid``s through ``sweep_csv``/``sweep_json``
+    or a threshold's lists of ``ThresholdResult`` through ``threshold_csv``/``threshold_json``.
+    A stream is written as it is produced, so a failed write can leave a partial file; its
+    first chunk is made before the file is opened, so that a bad input leaves no file."""
+    stream = not isinstance(records, (dict, list))
+    first = next(records) if stream else None
     try:
         with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
-            if isinstance(records, (dict, list)):
+            if not stream:
                 fh.write(_render(records, out_format))
                 return
-            lead, later, end = _SWEEP_ENDS[out_format]
-            for grid in records:
-                (sweep_csv if out_format == "csv" else sweep_json)(grid, fh.write, lead)
+            header, writers = ((SWEEP_HEADER, (sweep_csv, sweep_json)) if type(first) is GainGrid
+                               else (THRESHOLD_HEADER, (threshold_csv, threshold_json)))
+            json_out = out_format == "json"
+            lead, later, end = _JSON_ENDS if json_out else (header + "\n", "", "")
+            for chunk in chain((first,), records):
+                writers[json_out](chunk, fh.write, lead)
                 lead = later
             fh.write(end)
     except OSError as exc:
@@ -618,11 +637,11 @@ def _run_sweep(rc: RunConfig) -> int:
     # fit, else one k-row's rates a chunk at a time.
     spans = [(start, min(start + OPTIMAL_K_CHUNK, n)) for start in range(0, n, OPTIMAL_K_CHUNK)]
     rows = max(OPTIMAL_K_CHUNK // n, 1)
-    for k in rc.k_values:  # gain_grid's checks of the whole grid, before the first byte
+    # gain_grid's checks, before the first byte (a lone span's rates are its first call's)
+    for k in rc.k_values:
         _check_k(k)
-    for start, stop in spans:
-        for lam in rates(start, stop):
-            _check_lambda(lam)
+    for start, stop in spans if len(spans) > 1 else ():
+        _check_rates(rates(start, stop))
     chunks = (gain_grid(rc.k_values[i:i + rows], rates(start, stop), rc.phy, rc.traffic, rc.form)
               for i in range(0, len(rc.k_values), rows) for start, stop in spans)
     emit(chunks, rc.out_format, rc.out_path)
@@ -630,18 +649,17 @@ def _run_sweep(rc: RunConfig) -> int:
 
 
 def _run_threshold(rc: RunConfig) -> int:
+    """Solve, check and write one ``OPTIMAL_K_CHUNK`` of k at a time, then name the k that
+    did not converge; every k and the search range are checked before the first byte."""
     _require(bool(rc.k_values), "threshold needs --k")
-    records = [{
-        "k": r.k,
-        "lambda_star": r.lambda_star,
-        "lambda_low": r.bracket[0],
-        "lambda_high": r.bracket[1],
-        "iterations": r.iterations,
-        "converged": r.converged,
-        "note": r.note,
-    } for r in lambda_thresholds(rc.k_values, rc.phy, rc.traffic, rc.form, rc.search)]
-    emit(records, rc.out_format, rc.out_path)
-    failing = [r["k"] for r in records if not r["converged"]]
+    failing = []
+
+    def gather(chunk: list) -> list:  # the k that did not converge, over every chunk
+        failing.extend([r.k for r in chunk if not r.converged])
+        return chunk
+
+    chunks = threshold_chunks(rc.k_values, rc.phy, rc.traffic, rc.form, rc.search)
+    emit(map(gather, chunks), rc.out_format, rc.out_path)
     # a run of consecutive k keeps "k minus its place among the failures"
     runs = [[k for _, k in run] for _, run in groupby(enumerate(failing), lambda p: p[1] - p[0])]
     if runs:

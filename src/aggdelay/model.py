@@ -185,6 +185,13 @@ def _check_lambda(lam: float) -> None:
         raise ValueError(f"lambda must be positive and finite, got {lam!r}")
 
 
+def _check_rates(lam) -> None:
+    """``_check_lambda`` on every rate in one numpy pass; the first bad one is named."""
+    ok = ((lam := np.asarray(lam, dtype=float)) > 0.0) & (lam < math.inf)
+    if not ok.all():
+        _check_lambda(lam[ok.argmin()].item())
+
+
 # The constants of the chain for one (profile, traffic) pair.
 _Moments = namedtuple(
     "_Moments", "gamma backoff_mean backoff_var payload_mean payload_variance bit_rate bit_rate_sq"

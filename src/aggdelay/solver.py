@@ -2,7 +2,7 @@
 
 ``lambda_thresholds`` finds, for each k, the rate where the aggregation gain
 G(k) first turns non-positive (the break-even point), a cubic root in closed
-form, and checks all k in one kernel call (``lambda_threshold``: one k).
+form, and checks a chunk of k in one kernel call (``lambda_threshold``: one k).
 ``optimal_k`` picks the batch size minimizing mean system time at a fixed
 rate, and ``gain_grid`` evaluates a (k, lambda) grid, all on the model's one
 numpy kernel. ``optimal_k`` returns its point as the ``QueueMetrics`` record
@@ -13,13 +13,15 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
 # evaluate and gain stay importable from this module, where profilers wrap them.
 from .model import PKForm, QueueMetrics, TrafficSpec, evaluate, gain, service_time  # noqa: F401
-from .model import _DEFAULT_FORM, _Chain, _chain, _check_k, _check_lambda, _moments, _service
+from .model import (_DEFAULT_FORM, _Chain, _chain, _check_k, _check_lambda, _check_rates,
+                    _moments, _service)
 from .phy import PhyProfile
 
 
@@ -54,9 +56,8 @@ class SearchParams:
             raise ValueError(f"rel_tol must be finite and in (0, 1), got {self.rel_tol!r}")
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
-    """Located sign change of lambda -> G(k, lambda).
+class ThresholdResult(NamedTuple):
+    """Located sign change of lambda -> G(k, lambda); a named tuple (change one by ``_replace``).
 
     When ``converged`` and ``note`` is empty, the bracket satisfies
     G(lambda_low) > 0 >= G(lambda_high) and its width is within the
@@ -93,24 +94,30 @@ def _break_even_cubic(k: int, s_k: float, q_k: float, s_1: float, q_1: float) ->
     return (k - 1) * k, (k - 1) * a1 + d * k, c2, d * a2 + q_1 * s_k - q_k * s_1
 
 
-def _positive_roots(c0: float, c1: float, c2: float, c3: float) -> list[float]:
-    """Positive real roots of c0 + c1 x + c2 x^2 + c3 x^3 for c0 != 0.
-
-    In y = 1/x the cubic is y^3 + a y^2 + b y + c with a = c1/c0, b = c2/c0,
-    c = c3/c0, which stays a cubic however small c3 is. Its real roots
-    come from the trigonometric or Cardano form (Numerical Recipes 5.6).
-    """
+def _smallest_root(coeffs: tuple, lam_min: float, limit: float, lam_max: float) -> float:
+    """Smallest root x of c0 + c1 x + c2 x^2 + c3 x^3 (c0 != 0) in (lam_min, limit), at most
+    lam_max, else NaN. In y = 1/x the cubic is y^3 + (c1 y^2 + c2 y + c3) / c0, whose real roots
+    (trigonometric or Cardano form, Numerical Recipes 5.6) are tried largest y first: for
+    0 < theta < pi the first trigonometric one, so the other two are seldom computed."""
+    c0, c1, c2, c3 = coeffs
     a, b, c = c1 / c0, c2 / c0, c3 / c0
     q = (a * a - 3.0 * b) / 9.0
     r = (2.0 * a * a * a - 9.0 * a * b + 27.0 * c) / 54.0
     if r * r < q * q * q:
         theta = math.acos(max(-1.0, min(1.0, r / math.sqrt(q * q * q))))  # |.| <= 1 up to rounding
-        ys = [-2.0 * math.sqrt(q) * math.cos((theta + 2.0 * math.pi * j) / 3.0) - a / 3.0
-              for j in (0, 1, 2)]
+        scale, shift = -2.0 * math.sqrt(q), a / 3.0
+        y = scale * math.cos((theta + 2.0 * math.pi) / 3.0) - shift
+        if 0.0 < theta < math.pi and y > 0.0 and lam_min < (x := 1.0 / y) < limit and x <= lam_max:
+            return x
+        ys = sorted((y, scale * math.cos((theta + 4.0 * math.pi) / 3.0) - shift,
+                     scale * math.cos(theta / 3.0) - shift), reverse=True)
     else:
         u = -math.copysign((abs(r) + math.sqrt(r * r - q * q * q)) ** (1.0 / 3.0), r)
-        ys = [u + (q / u if u else 0.0) - a / 3.0]
-    return [1.0 / y for y in ys if y > 0.0]
+        ys = (u + (q / u if u else 0.0) - a / 3.0,)
+    for y in ys:
+        if y > 0.0 and lam_min < (x := 1.0 / y) < limit and x <= lam_max:
+            return x
+    return math.nan
 
 
 def _polish(coeffs: tuple, x: float) -> tuple[float, int]:
@@ -137,15 +144,20 @@ def lambda_thresholds(
     k_values, phy: PhyProfile, traffic: TrafficSpec, form: PKForm = _DEFAULT_FORM,
     search: SearchParams = SearchParams(),
 ) -> list[ThresholdResult]:
-    """For each k, the smallest rate where G(k, .) changes from positive to non-positive.
+    """For each k, the smallest rate where G(k, .) changes from positive to non-positive."""
+    return list(chain.from_iterable(threshold_chunks(k_values, phy, traffic, form, search)))
 
-    lambda* is the smallest root of ``_break_even_cubic`` in (lambda_min,
-    min(lambda_max, k/s_k, 1/s_1)) in closed form, polished by Newton steps;
-    a kernel call checks G(low) > 0 >= G(high) on lambda* (1 -/+ rel_tol/4),
-    once per ``OPTIMAL_K_CHUNK`` batch sizes. If G is already non-positive at
-    lambda_min the result is converged at lambda_min with a note; if no root
-    lies in range, or G does not change sign across it, ``converged`` is False.
-    """
+
+def threshold_chunks(
+    k_values, phy: PhyProfile, traffic: TrafficSpec, form: PKForm = _DEFAULT_FORM,
+    search: SearchParams = SearchParams(),
+):
+    """``lambda_thresholds``' results as lists of ``OPTIMAL_K_CHUNK`` k, each solved when read,
+    once every k and the search range are checked. lambda* is the smallest root of
+    ``_break_even_cubic`` in (lambda_min, min(lambda_max, k/s_k, 1/s_1)), polished by Newton
+    steps; a kernel call per list checks G(low) > 0 >= G(high) on lambda* (1 -/+ rel_tol/4).
+    A k whose G is non-positive at lambda_min converges there, with a note; one without a
+    root in range, or whose G keeps its sign across the root, does not converge."""
     k_values = tuple(k_values)
     if bad := [k for k in k_values if not isinstance(k, int) or k < 2]:
         raise ValueError(f"threshold search needs an integer k >= 2, got {bad[0]!r}")
@@ -156,30 +168,34 @@ def lambda_thresholds(
     if lam_max <= lam_min:
         raise ValueError(f"empty search range: lambda_max {lam_max:g} <= lambda_min {lam_min:g}")
     tol, general = 0.25 * search.rel_tol, form is PKForm.GENERAL_PK
-    q_1, results = s_1 * s_1 + (v_1 if general else 0.0), []
-    for start in range(0, len(k_values), OPTIMAL_K_CHUNK):
-        chunk, solves = k_values[start:start + OPTIMAL_K_CHUNK], []
+    q_1, limit_1 = s_1 * s_1 + (v_1 if general else 0.0), 1.0 / s_1
+    gamma, b_mean, b_var, pm, pv, br, br_sq = m  # summed below as _service sums them
+
+    def solve(chunk: tuple) -> list[ThresholdResult]:
+        solves, results = [], []
         for k in chunk:
-            s_k, v_k = _service(k, m)
-            coeffs = _break_even_cubic(k, s_k, s_k * s_k + (v_k if general else 0.0), s_1, q_1)
-            limit = min(k / s_k, 1.0 / s_1)
-            roots = [x for x in _positive_roots(*coeffs) if lam_min < x < limit and x <= lam_max]
-            root, steps = _polish(coeffs, min(roots)) if roots else (math.nan, 0)
-            solves.append((bool(roots), root, steps, root * (1.0 - tol), root * (1.0 + tol)))
-        lam = np.empty((len(chunk), 3))
-        lam[:, 0], lam[:, 1], lam[:, 2] = lam_min, [s[3] for s in solves], [s[4] for s in solves]
+            s_k = k * pm / br + gamma + b_mean
+            coeffs = _break_even_cubic(
+                k, s_k, s_k * s_k + (b_var + k * pv / br_sq if general else 0.0), s_1, q_1)
+            x = _smallest_root(coeffs, lam_min, min(k / s_k, limit_1), lam_max)
+            solves.append(_polish(coeffs, x) if x == x else (x, 0))  # NaN x: no root in range
+        lam = np.multiply.outer([root for root, _ in solves], (1.0, 1.0 - tol, 1.0 + tol))
+        lam[:, 0] = lam_min
         gains = _chain(np.array(chunk, dtype=float)[:, None], lam, m, form).gain.tolist()
-        for k, (found, root, steps, low, high), g in zip(chunk, solves, gains):
+        for k, (root, steps), (_, low, high), g in zip(chunk, solves, lam.tolist(), gains):
             if g[0] <= 0.0:
                 r = lam_min, (lam_min, lam_min), 0, True, "gain already non-positive at lambda_min"
-            elif not found:
+            elif not steps:
                 r = math.nan, (lam_min, lam_max), 0, False, "no sign change within the search range"
             else:
                 ok = g[1] > 0.0 >= g[2]
                 r = (root if ok else math.nan, (low, high), steps, ok,
                      "" if ok else "gain does not change sign across the cubic root")
             results.append(ThresholdResult(k, *r))
-    return results
+        return results
+
+    return map(solve, (k_values[i:i + OPTIMAL_K_CHUNK]
+                       for i in range(0, len(k_values), OPTIMAL_K_CHUNK)))
 
 
 def optimal_k(
@@ -250,11 +266,9 @@ def gain_grid(
         raise ValueError("k_set and lambda_grid must be non-empty")
     for k in k_values:
         _check_k(k)
-    for lam in lam_values:
-        _check_lambda(lam)
-    values = _chain(
-        np.array(k_values, dtype=float)[:, None], np.array(lam_values), _moments(phy, traffic), form
-    )
+    lam = np.array(lam_values)
+    _check_rates(lam)
+    values = _chain(np.array(k_values, dtype=float)[:, None], lam, _moments(phy, traffic), form)
     shape = (len(k_values), len(lam_values))
     for value in values:
         value.flags.writeable = False  # as read-only as the broadcast service moments

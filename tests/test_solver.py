@@ -11,6 +11,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aggdelay import solver
 
@@ -161,6 +163,42 @@ def test_optimal_k_matches_bruteforce_on_random_configs():
             assert metrics.system_time == brute[1]
 
 
+def _positive_roots(c0, c1, c2, c3):
+    """Every positive real root of c0 + c1 x + c2 x^2 + c3 x^3 for c0 != 0: the
+    solver's root finder before it stopped at the first root in range, kept here so
+    that the reference does not move with the code under test."""
+    a, b, c = c1 / c0, c2 / c0, c3 / c0
+    q = (a * a - 3.0 * b) / 9.0
+    r = (2.0 * a * a * a - 9.0 * a * b + 27.0 * c) / 54.0
+    if r * r < q * q * q:
+        theta = math.acos(max(-1.0, min(1.0, r / math.sqrt(q * q * q))))
+        ys = [-2.0 * math.sqrt(q) * math.cos((theta + 2.0 * math.pi * j) / 3.0) - a / 3.0
+              for j in (0, 1, 2)]
+    else:
+        u = -math.copysign((abs(r) + math.sqrt(r * r - q * q * q)) ** (1.0 / 3.0), r)
+        ys = [u + (q / u if u else 0.0) - a / 3.0]
+    return [1.0 / y for y in ys if y > 0.0]
+
+
+ROOTS = st.floats(1e-3, 1e6)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.tuples(ROOTS, ROOTS | st.just(0.0), ROOTS), st.integers(-1, 1), ROOTS, ROOTS, ROOTS)
+def test_smallest_root_is_the_least_root_in_range_of_every_root(roots, sign, low, width, cap):
+    """(1 - x/r1)(1 - x/r2)(1 - x/r3) with up to three positive roots (r2 = 0 repeats r1,
+    a double root; sign 0 makes r3 negative): the first root in range is the least of the
+    reference's, bit for bit."""
+    r1, r2, r3 = roots
+    r2, r3 = r2 or r1, r3 * (sign or -1.0)
+    u, v, w = 1.0 / r1, 1.0 / r2, 1.0 / r3
+    coeffs = (1.0, -(u + v + w), u * v + u * w + v * w, -(u * v * w))
+    lam_min, limit, lam_max = low, low + width, low + cap
+    want = min((x for x in _positive_roots(*coeffs) if lam_min < x < limit and x <= lam_max),
+               default=math.nan)
+    assert repr(solver._smallest_root(coeffs, lam_min, limit, lam_max)) == repr(want)
+
+
 def _per_k_threshold(k, phy, traffic, form, search=SearchParams()):
     """One k solved alone, moments and a three-point kernel check of its own: the
     algorithm ``lambda_threshold`` ran before thresholds were checked in batches."""
@@ -172,7 +210,7 @@ def _per_k_threshold(k, phy, traffic, form, search=SearchParams()):
     v_k, v_1 = (v_k, v_1) if form is PKForm.GENERAL_PK else (0.0, 0.0)
     coeffs = solver._break_even_cubic(k, s_k, s_k * s_k + v_k, s_1, s_1 * s_1 + v_1)
     limit = min(k / s_k, 1.0 / s_1)
-    roots = [x for x in solver._positive_roots(*coeffs) if lam_min < x < limit and x <= lam_max]
+    roots = [x for x in _positive_roots(*coeffs) if lam_min < x < limit and x <= lam_max]
     root, steps = solver._polish(coeffs, min(roots)) if roots else (math.nan, 0)
     low, high = root * (1.0 - 0.25 * search.rel_tol), root * (1.0 + 0.25 * search.rel_tol)
     g = solver._chain(np.float64(k), np.array([lam_min, low, high]), m, form).gain.tolist()
@@ -254,6 +292,48 @@ def test_lambda_thresholds_takes_any_iterable_and_rejects_a_bad_k(phy_b11, det80
     for bad in ([2, 1], [2, 3.0], [True]):
         with pytest.raises(ValueError, match="integer k >= 2"):
             lambda_thresholds(bad, phy_b11, det800)
+
+
+PRESET_PHYS = [parse_run_config(preset(name)).phy for name in FIG_PRESETS]
+PAYLOADS = st.one_of(  # every payload family, each at a rate that does not matter here
+    st.floats(100.0, 12000.0).map(lambda bits: TrafficSpec.deterministic(100.0, bits)),
+    st.floats(100.0, 12000.0).map(lambda bits: TrafficSpec.exponential(100.0, bits)),
+    st.tuples(st.floats(0.0, 6000.0), st.floats(1.0, 6000.0)).map(
+        lambda lo_width: TrafficSpec.uniform_range(100.0, lo_width[0], sum(lo_width))),
+    st.lists(st.floats(8.0, 12000.0), min_size=1, max_size=6).map(
+        lambda values: TrafficSpec.empirical(100.0, values)),
+)
+K_SETS = st.one_of(  # a few k in any order, or a range of up to 10^4 of them
+    st.lists(st.integers(2, 40) | st.integers(2, 10**4), min_size=1, max_size=40),
+    st.tuples(st.integers(2, 400), st.integers(1, 10**4)).map(
+        lambda start_n: tuple(range(start_n[0], start_n[0] + start_n[1]))),
+)
+
+
+@st.composite
+def threshold_cases(draw):
+    """A profile (a figure's or a custom one), payloads, form, search and k set. lambda_min
+    runs up to 0.98 mu(1), past many k's break-even rate, so G is often non-positive
+    there already; a lambda_max, when drawn, may cut off the roots."""
+    if draw(st.booleans()):
+        phy = draw(st.sampled_from(PRESET_PHYS))
+    else:
+        phy = custom_profile(bit_rate=draw(st.floats(1e6, 6e7)), slot=draw(st.floats(5e-6, 3e-5)),
+                             cw=draw(st.integers(0, 64)))
+    traffic, form = draw(PAYLOADS), draw(st.sampled_from(list(PKForm)))
+    share = draw(st.floats(1e-4, 0.98) | st.sampled_from([0.75, 0.9, 0.97]))
+    lam_min = share * k1_stability_limit(phy, traffic)
+    stretch = draw(st.one_of(st.none(), st.floats(1e-6, 3.0)))
+    search = SearchParams(lambda_min=lam_min, rel_tol=draw(st.floats(1e-12, 0.9)),
+                          lambda_max=None if stretch is None else lam_min * (1.0 + stretch))
+    return phy, traffic, form, search, draw(K_SETS)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(threshold_cases())
+def test_lambda_thresholds_equal_the_per_k_reference_bit_for_bit(case):
+    phy, traffic, form, search, ks = case
+    _assert_batched_equals_per_k((*ks, 10**9), phy, traffic, form, search)  # 10^9: seldom a root
 
 
 def _whole_array_optimal_k(lam, phy, traffic, form, k_max):

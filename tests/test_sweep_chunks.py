@@ -131,3 +131,27 @@ def test_a_failed_write_mid_stream_exits_2(out_format):
                          capture_output=True, text=True, timeout=120)
     assert (run.returncode, run.stdout) == (2, "")
     assert run.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 10**9])
+def test_a_bad_rate_is_named_before_the_first_byte(monkeypatch, capsys, tmp_path, chunk):
+    """max / min overflows, so every geometric rate after the first is inf: with a chunk
+    of one point the first span is good and the second is not. An --output file is left
+    as it was, also when the one chunk's own kernel call finds the rate."""
+    monkeypatch.setattr(cli, "OPTIMAL_K_CHUNK", chunk)
+    argv = ["sweep", "--k", "2,3", "--lambda", "1e-300:1e300:5", "--grid-kind", "geometric"]
+    (out := tmp_path / "out.csv").write_text("earlier\n")
+    for extra in ([], ["--output", str(out)]):
+        assert main(argv + extra) == 2
+        assert capsys.readouterr() == ("", "error: lambda must be positive and finite, got inf\n")
+    assert out.read_text() == "earlier\n"
+
+
+def test_rates_are_checked_in_numpy_not_one_by_one(monkeypatch, capsys):
+    calls, check = [], sys.modules["aggdelay.model"]._check_lambda
+    for name in ("aggdelay.model", "aggdelay.solver", "aggdelay.cli"):  # wherever it is looked up
+        monkeypatch.setattr(sys.modules[name], "_check_lambda",
+                            lambda lam: calls.append(lam) or check(lam), raising=False)
+    monkeypatch.setattr(cli, "OPTIMAL_K_CHUNK", 300)
+    sweep_output(capsys, ["sweep", "--k", "2,9", "--lambda", "1:5000:700"])
+    assert calls == []
