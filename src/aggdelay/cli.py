@@ -18,15 +18,16 @@ import sys
 from collections import namedtuple
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
-from functools import cache
-from itertools import chain, groupby, repeat
+from functools import cache, partial
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
-from .model import _DEFAULT_FORM, PKForm, TrafficSpec, _check_k, _check_rates
+from .model import _DEFAULT_FORM, PKForm, TrafficSpec, _check_k
 from .phy import PRESET_STANDARDS, PhyProfile, Standard, overhead_gamma, profile_for
 from .presets import preset
 from .sim import SimConfig, SimMode, replications, simulate, validate_against_model
-from .solver import (OPTIMAL_K_CHUNK, GainGrid, SearchParams, gain_grid, optimal_k,
-                     threshold_chunks)
+from .solver import OPTIMAL_K_CHUNK, SearchParams, gain_grid, optimal_k, threshold_chunks
 # lambda_threshold stays importable from this module, where profilers wrap it.
 from .solver import lambda_threshold  # noqa: F401
 
@@ -55,9 +56,11 @@ def fmt(value) -> str:
 
 
 def _json_value(value):
-    """``value`` with non-finite floats, in nested dicts too, as their CSV literals."""
+    """``value`` with non-finite floats, in nested dicts and lists too, as their CSV literals."""
     if isinstance(value, dict):
         return {key: _json_value(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return list(map(_json_value, value))
     if isinstance(value, float) and not math.isfinite(value):
         return fmt(value)
     return value
@@ -94,6 +97,9 @@ class GridSpec:
                  f"lambda grid needs a finite min and max, got {self.min}:{self.max}")
         _require(0.0 < self.min < self.max, "grid needs 0 < min < max")
         _require(self.points >= 2, "grid needs points >= 2")
+        ratio = (self.max / self.min) ** (1.0 / (self.points - 1))  # as ``rates`` has it
+        _require(self.kind == "linear" or math.isfinite(self.min * ratio ** (self.points - 2)),
+                 f"geometric lambda grid {self.min}:{self.max}:{self.points} overflows")
 
     def rates(self, start: int, stop: int) -> list[float]:
         """The rates at indices ``start`` to ``stop - 1``, each from its own index, and max
@@ -246,11 +252,12 @@ def _parse_traffic(section: dict, lam: float) -> TrafficSpec:
     return build(lam, bits)
 
 
-def _parse_k_values(spec) -> tuple[int, ...]:
+def _parse_k_values(spec) -> tuple[int, ...] | range:
+    """The k of ``--k``; ``A..B`` stays a range, so no run holds every k of it."""
     if isinstance(spec, str) and ".." in spec:
         lo, hi = (_typed("k", part, int) for part in spec.split("..", 1))
         _require(lo <= hi, f"bad k range {spec!r}")
-        return tuple(range(lo, hi + 1))
+        return range(lo, hi + 1)
     if not isinstance(spec, list):  # text "2,5,8", one k, or none
         spec = spec.split(",") if isinstance(spec, str) else [] if spec is None else [spec]
     return tuple(_typed("k", v, int, 0) for v in spec)
@@ -264,7 +271,8 @@ def _parse_lambda(spec) -> tuple[float | None, GridSpec | None]:
     return lam, None
 
 
-def _parse_sim(section) -> dict:
+def _parse_sim(section) -> tuple[dict, float | None]:
+    """The checked sim section and the sum of its source rates (None without them)."""
     sim = _section("sim", section)
     _require(sim["replications"] >= 1, "sim.replications must be >= 1")
     _require(sim["seed"] + sim["replications"] - 1 < 2**64,
@@ -272,8 +280,12 @@ def _parse_sim(section) -> dict:
     rates = sim["sources"]
     _require(rates is None or bool(rates) and all(0.0 < r < math.inf for r in rates),
              "every source rate must be positive and finite")
-    _require(rates is None or sum(rates) < math.inf, f"sum of source rates {rates} must be finite")
-    return sim
+    try:  # fsum: the same on every Python version (sum of floats is compensated from 3.12 on)
+        total = None if rates is None else math.fsum(rates)
+    except OverflowError:
+        total = math.inf
+    _require(total is None or total < math.inf, f"sum of source rates {rates} must be finite")
+    return sim, total
 
 
 def parse_run_config(cfg: dict) -> RunConfig:
@@ -281,9 +293,8 @@ def parse_run_config(cfg: dict) -> RunConfig:
     unknown = sorted(set(cfg) - TOP_LEVEL_KEYS)
     _require(not unknown, f"unknown config keys: {', '.join(unknown)}")
     lam, grid = _parse_lambda(cfg.get("lambda"))
-    sim = None if cfg.get("sim") is None else _parse_sim(cfg["sim"])
-    if lam is None and sim is not None and sim["sources"] is not None:
-        lam = sum(sim["sources"])
+    sim, total = (None, None) if cfg.get("sim") is None else _parse_sim(cfg["sim"])
+    lam = total if lam is None else lam
     form = _typed("form", cfg.get("form", _DEFAULT_FORM.value), FORMS, _DEFAULT_FORM.value)
     output = _section("output", cfg.get("output"))
     search = cfg.get("search")
@@ -306,8 +317,7 @@ def parse_run_config(cfg: dict) -> RunConfig:
         return rc
     config = SimConfig(mode=SimMode(sim["mode"]), phy=rc.phy, traffic=rc.traffic,
                        **{key: sim[key] for key in ("seed", "num_frames", "warmup_frames", "k")})
-    if sim["sources"] is not None:  # they superpose into the one stream of rate lam
-        total = sum(sim["sources"])
+    if total is not None:  # the sources superpose into the one stream of rate lam
         _require(math.isclose(total, lam, rel_tol=1e-9),
                  f"sum of source rates {total:g} must equal the traffic lambda_total {lam:g}")
     # Without a rate, config has the traffic's placeholder rate: it checks the section only.
@@ -484,122 +494,116 @@ def _config_from_args(command: str, args: argparse.Namespace) -> dict:
     return cfg
 
 
-_BOOL_CELL = ("false", "true").__getitem__
-
-
-def _render(records, out_format: str) -> str:
-    """CSV (header: the record keys, cells: fmt) or JSON text of a dict or a list of dicts
-    with the same keys. CSV rows fill one ``%`` template: a float column's cells are
-    ``%.12g``, an int or str column's ``%s``, other columns' ``fmt`` of each value."""
-    if out_format == "json":
-        data = _json_value(records) if isinstance(records, dict) else list(map(_json_value, records))
-        return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    rows = [records] if isinstance(records, dict) else records
-    cells, columns = [], []
-    for column in zip(*(row.values() for row in rows)):
-        kinds = set(map(type, column))
-        kind = kinds.pop() if len(kinds) == 1 else None
-        cells.append("%.12g" if kind is float else "%s")
-        columns.append(column if kind in (float, int, str) else
-                       map(_BOOL_CELL if kind is bool else fmt, column))
-    body = "\n".join(repeat(",".join(cells), len(rows)))
-    return f"{','.join(rows[0])}\n{body % tuple(chain.from_iterable(zip(*columns)))}\n"
-
-
-SWEEP_HEADER = (
-    "k,lambda,erlang_wait_s,service_mean_s,rho,queue_wait_s,"
-    "system_time_s,gain_s,stable"
-)
-THRESHOLD_HEADER = "k,lambda_star,lambda_low,lambda_high,iterations,converged,note"
-# Column -> QueueMetrics attribute: the column without its unit suffix, lam for lambda.
-_SWEEP_FIELDS = {column: "lam" if column == "lambda" else column.removesuffix("_s")
-                 for column in SWEEP_HEADER.split(",")}
 _JSON_NONFINITE = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
 _JSON_SEP = "\n  },\n  {\n    "  # between two records of json.dumps(indent=2)
-_JSON_ENDS = ("[\n  {\n    ", _JSON_SEP, "\n  }\n]\n")  # a JSON stream's lead, separator, end
-# One sweep JSON record's body, keys sorted: {k} and {mean} are filled once per k, % the rest.
-_JSON_ROW = ",\n    ".join(f'"{name}": ' + {"k": "{k}", "service_mean_s": "{mean}"}.get(name, "%s")
-                           for name in sorted(_SWEEP_FIELDS))
+ROW, RATE = "row", "rate"  # the sweep's column kinds: one value per k-row, one per rate
 
 
 def _json_numbers(values: list) -> list:
-    """JSON cells of floats for a ``%s`` template: the floats themselves if their sum is
-    finite (``str`` of a float is json's own repr), else their repr with _json_value's
-    strings in place of inf, -inf and nan."""
+    """JSON cells of numbers for ``%s``: the numbers if their sum is finite (``str`` of a float
+    is json's repr), else their repr with _json_value's strings for inf, -inf and nan."""
     if math.isfinite(sum(values)):
         return values
-    cells = list(map(float.__repr__, values))
+    cells = list(map(repr, values))
     return list(map(_JSON_NONFINITE.get, cells, cells))
 
 
-def sweep_csv(grid: GainGrid, write, lead: str) -> None:
-    """Write a sweep chunk's CSV text (``_render``'s bytes) through ``write``: ``lead`` (the
-    header, or nothing after an earlier chunk), then each k-row as soon as it is formatted,
-    in one ``%`` call over a row template with each rate's cell in place (``"%.12g" % x`` is
-    ``fmt(x)``)."""
-    c, n = grid.columns, len(grid.lam_values)
-    template = "".join("%%s,%.12g,%%.12g,%%s,%%.12g,%%.12g,%%.12g,%%.12g,%%s\n" % lam
-                       for lam in grid.lam_values)
-    write(lead)
-    for i, k in enumerate(grid.k_values):
-        mean = "%.12g" % c.service_mean.item(i, 0)
-        write(template % tuple(chain.from_iterable(zip(
-            repeat(k, n), c.erlang_wait[i].tolist(), repeat(mean, n), c.rho[i].tolist(),
-            c.queue_wait[i].tolist(), c.system_time[i].tolist(), c.gain[i].tolist(),
-            map(_BOOL_CELL, c.stable[i].tolist())))))
+# A k-row's cells of each kind as %s arguments: CSV's (a float's %.12g is in the template), JSON's.
+_CELLS = {float: (iter, _json_numbers), int: (iter, iter),
+          str: (iter, partial(map, encode_basestring_ascii)),
+          bool: (partial(map, ("false", "true").__getitem__),) * 2}
 
 
-def sweep_json(grid: GainGrid, write, lead: str) -> None:
-    """Write a sweep chunk's JSON records (``_render``'s bytes) through ``write``, formatted
-    column by column, each k-row as soon as it is formatted: ``lead`` (the list's opening,
-    or the record separator after an earlier chunk) before the first k-row, the record
-    separator before each later one."""
-    c = grid.columns
-    lam = list(map(float.__repr__, grid.lam_values))
-    for i, k in enumerate(grid.k_values):
-        line = _JSON_ROW.format(k=k, mean=float.__repr__(c.service_mean.item(i, 0))).__mod__
-        erlang, gain, wait, rho, total = (_json_numbers(value[i].tolist()) for value in (
-            c.erlang_wait, c.gain, c.queue_wait, c.rho, c.system_time))
-        stable = map(_BOOL_CELL, c.stable[i].tolist())
+class Table:
+    """A CLI table from its column spec, (name, kind, read) per column, its header and ``%``
+    templates built here, once; a lone table's JSON is one object. ``read(chunk, i)`` is the
+    column's part of k-row i: its cells for kind float, int, str or bool, for ROW one number,
+    each row's cell, for RATE the chunk's rates. Without RATE a chunk is one k-row of records
+    (tuples): ``read`` gets their fields, or is a field's place, the column's own if left out."""
+
+    def __init__(self, spec: tuple, lone=False, writers=None) -> None:
+        self.spec = [(name, kind, read[0] if read and callable(read[0]) else
+                      lambda fields, i, j=(*read, place)[0]: fields[j])
+                     for place, (name, kind, *read) in enumerate(spec)]
+        self.by_name, self.header = sorted(self.spec, key=itemgetter(0)), ",".join(c[0] for c in spec)
+        # The rates go in once per chunk, the other cells (escaped) once per k-row.
+        self.csv_row = ",".join({RATE: "%.12g", float: "%%.12g"}.get(kind, "%%s")
+                                for _, kind, _ in self.spec) + "\n"
+        # The ROW cells go in once per k-row, the others (escaped) once per record.
+        self.json_record = (",\n  " if lone else ",\n    ").join(
+            f'"{name}": ' + ("%s" if kind is ROW else "%%s") for name, kind, _ in self.by_name)
+        self.ends = ((self.header + "\n", "", ""), ("{\n  ", "", "\n}\n") if lone
+                     else ("[\n  {\n    ", _JSON_SEP, "\n  }\n]\n"))  # lead, separator, end
+        self.writers = writers or (lambda: (self.csv, self.json))  # each (chunk, write, lead)
+
+    def csv(self, chunk, write, lead: str) -> None:
+        """Write ``lead``, then each k-row of ``chunk`` in one ``%`` call."""
+        rates = [read(chunk, 0) for _, kind, read in self.spec if kind is RATE]
+        n = len(rates[0]) if rates else len(chunk)
+        template = "".join(map(self.csv_row.__mod__, *rates)) if rates else self.csv_row % () * n
+        k_rows, chunk = range(len(chunk) // n), chunk if rates else list(zip(*chunk))
         write(lead)
-        write(_JSON_SEP.join(map(line, zip(erlang, gain, lam, wait, rho, stable, total))))
-        lead = _JSON_SEP
+        for i in k_rows:
+            write(template % tuple(chain.from_iterable(zip(*[
+                repeat(fmt(read(chunk, i)), n) if kind is ROW else _CELLS[kind][0](read(chunk, i))
+                for _, kind, read in self.spec if kind is not RATE]))))
+
+    def json(self, chunk, write, lead: str) -> None:
+        """Write ``lead``, then the records of ``chunk``, one ``%`` call each."""
+        rates = [list(map(str, _json_numbers(read(chunk, 0))))
+                 for _, kind, read in self.by_name if kind is RATE]
+        k_rows = range(len(chunk) // len(rates[0]) if rates else 1)
+        chunk = chunk if rates else list(zip(*chunk))  # records: their fields
+        for i in k_rows:
+            row = _json_numbers([read(chunk, i) for _, kind, read in self.by_name if kind is ROW])
+            cells = [rates[0] if kind is RATE else _CELLS[kind][1](read(chunk, i))
+                     for _, kind, read in self.by_name if kind is not ROW]
+            write(lead + _JSON_SEP.join(map((self.json_record % tuple(row)).__mod__, zip(*cells))))
+            lead = _JSON_SEP
 
 
-def threshold_csv(results: list, write, lead: str) -> None:
-    """Write ``lead`` and a threshold chunk's CSV rows (``_render``'s bytes) in one ``%`` call."""
-    k, star, bracket, steps, converged, note = zip(*results)
-    write(lead + "%s,%.12g,%.12g,%.12g,%s,%s,%s\n" * len(results) % tuple(chain.from_iterable(
-        zip(k, star, *zip(*bracket), steps, map(_BOOL_CELL, converged), note))))
+# A sweep chunk is a GainGrid, a k-row per k and a row per rate, its columns the kernel's
+# (k, lambda) arrays. Its writers are the module's, looked up when called: profilers wrap them.
+SWEEP = Table((("k", ROW, lambda grid, i: grid.k_values[i]),
+               ("lambda", RATE, lambda grid, i: grid.lam_values),
+               ("erlang_wait_s", float, lambda grid, i: grid.columns.erlang_wait[i].tolist()),
+               ("service_mean_s", ROW, lambda grid, i: grid.columns.service_mean.item(i, 0)),
+               ("rho", float, lambda grid, i: grid.columns.rho[i].tolist()),
+               ("queue_wait_s", float, lambda grid, i: grid.columns.queue_wait[i].tolist()),
+               ("system_time_s", float, lambda grid, i: grid.columns.system_time[i].tolist()),
+               ("gain_s", float, lambda grid, i: grid.columns.gain[i].tolist()),
+               ("stable", bool, lambda grid, i: grid.columns.stable[i].tolist())),
+              writers=lambda: (sweep_csv, sweep_json))
+sweep_csv, sweep_json, SWEEP_HEADER = SWEEP.csv, SWEEP.json, SWEEP.header
+# A threshold chunk is a list of ThresholdResult: k, lambda_star, bracket, iterations, ...
+THRESHOLD = Table((("k", int, 0), ("lambda_star", float, 1),
+                   ("lambda_low", float, lambda fields, i: [low for low, _ in fields[2]]),
+                   ("lambda_high", float, lambda fields, i: [high for _, high in fields[2]]),
+                   ("iterations", int, 3), ("converged", bool, 4), ("note", str, 5)))
+PROFILES = Table((("standard", str), ("rate_bps", float), *zip(_PHY_TIMES, repeat(float)),
+                  *zip(_PHY_COUNTS, repeat(int)), ("ack_rate_bps", float), ("gamma_us", float)))
+OPTIMAL_K = Table((("k_best", int), ("k_max", int), ("lambda", float),
+                   *zip(SWEEP_HEADER.split(",")[2:-1], repeat(float)), ("stable", bool)), lone=True)
 
 
-def threshold_json(results: list, write, lead: str) -> None:
-    """Write ``lead`` and a threshold chunk's JSON records: ``_render`` text less the list's
-    opening and end, which ``emit`` writes."""
-    keys = THRESHOLD_HEADER.split(",")
-    records = [dict(zip(keys, (k, star, *bracket, *rest))) for k, star, bracket, *rest in results]
-    write(lead + _render(records, "json")[10:-7])
-
-
-def emit(records, out_format: str, path: str | None) -> None:
-    """Write records to path or stdout: a dict or a list of dicts as ``_render`` text, or a
-    stream, an iterator of chunks: a sweep's ``GainGrid``s through ``sweep_csv``/``sweep_json``
-    or a threshold's lists of ``ThresholdResult`` through ``threshold_csv``/``threshold_json``.
-    A stream is written as it is produced, so a failed write can leave a partial file; its
-    first chunk is made before the file is opened, so that a bad input leaves no file."""
-    stream = not isinstance(records, (dict, list))
-    first = next(records) if stream else None
+def emit(records, out_format: str, path: str | None, table: Table | None = None) -> None:
+    """Write ``records`` to path or stdout: an iterator of ``table``'s chunks, each written as
+    it is made (the first before the file is opened: a bad input leaves no file, but a failed
+    write can leave part of one), or a dict or a list of dicts with the same keys."""
+    json_out = out_format == "json"
+    if table is None:  # json.dumps text, nested records too, or a row of fmt cells per dict
+        rows = [records] if isinstance(records, dict) else records
+        text = (json.dumps(_json_value(records), indent=2, sort_keys=True, allow_nan=False)
+                if json_out else "\n".join(",".join(map(fmt, row))
+                                           for row in [rows[0], *map(dict.values, rows)]))
+        records, ends, writer = iter([text]), ("", "", "\n"), lambda text, write, _: write(text)
+    else:
+        ends, writer = table.ends[json_out], table.writers()[json_out]
+    (lead, later, end), first = ends, next(records)
     try:
         with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
-            if not stream:
-                fh.write(_render(records, out_format))
-                return
-            header, writers = ((SWEEP_HEADER, (sweep_csv, sweep_json)) if type(first) is GainGrid
-                               else (THRESHOLD_HEADER, (threshold_csv, threshold_json)))
-            json_out = out_format == "json"
-            lead, later, end = _JSON_ENDS if json_out else (header + "\n", "", "")
             for chunk in chain((first,), records):
-                writers[json_out](chunk, fh.write, lead)
+                writer(chunk, fh.write, lead)
                 lead = later
             fh.write(end)
     except OSError as exc:
@@ -610,12 +614,12 @@ def _run_profiles(rc: RunConfig) -> int:
     records = []
     for std, (rates, *_) in PRESET_STANDARDS.items():
         for rate in rates:
-            profile, record = profile_for(std, rate), {"standard": std.value}
+            profile, record = profile_for(std, rate), [std.value]
             for key in ("rate_bps", *_PHY_TIMES, *_PHY_COUNTS, "ack_rate_bps"):
                 value = getattr(profile, _phy_field(key))
-                record[key] = _to_us(value) if key.endswith("_us") else value
-            records.append({**record, "gamma_us": overhead_gamma(profile).gamma_total * 1e6})
-    emit(records, rc.out_format, rc.out_path)
+                record.append(_to_us(value) if key.endswith("_us") else value)
+            records.append((*record, overhead_gamma(profile).gamma_total * 1e6))
+    emit(iter([records]), rc.out_format, rc.out_path, PROFILES)
     return EXIT_OK
 
 
@@ -629,22 +633,16 @@ def _run_sweep(rc: RunConfig) -> int:
     _require(bool(rc.k_values), "sweep needs --k")
     _require(rc.grid is not None or rc.lam is not None,
              "sweep needs --lambda (grid MIN:MAX:POINTS or a single rate)")
-    if rc.grid is None:
-        n, rates = 1, lambda start, stop: [rc.lam]
-    else:
-        n, rates = rc.grid.points, rc.grid.rates
+    n, rates = ((1, lambda start, stop: [rc.lam]) if rc.grid is None
+                else (rc.grid.points, rc.grid.rates))
     # Kernel calls of at most OPTIMAL_K_CHUNK points, k outer: whole k-rows while they
     # fit, else one k-row's rates a chunk at a time.
     spans = [(start, min(start + OPTIMAL_K_CHUNK, n)) for start in range(0, n, OPTIMAL_K_CHUNK)]
     rows = max(OPTIMAL_K_CHUNK // n, 1)
-    # gain_grid's checks, before the first byte (a lone span's rates are its first call's)
-    for k in rc.k_values:
-        _check_k(k)
-    for start, stop in spans if len(spans) > 1 else ():
-        _check_rates(rates(start, stop))
+    _check_k(min(rc.k_values))  # gain_grid's check of every k, before the first byte
     chunks = (gain_grid(rc.k_values[i:i + rows], rates(start, stop), rc.phy, rc.traffic, rc.form)
               for i in range(0, len(rc.k_values), rows) for start, stop in spans)
-    emit(chunks, rc.out_format, rc.out_path)
+    emit(chunks, rc.out_format, rc.out_path, SWEEP)
     return EXIT_OK
 
 
@@ -652,18 +650,19 @@ def _run_threshold(rc: RunConfig) -> int:
     """Solve, check and write one ``OPTIMAL_K_CHUNK`` of k at a time, then name the k that
     did not converge; every k and the search range are checked before the first byte."""
     _require(bool(rc.k_values), "threshold needs --k")
-    failing = []
+    runs = []  # [first, last] of each run of consecutive k that did not converge
 
-    def gather(chunk: list) -> list:  # the k that did not converge, over every chunk
-        failing.extend([r.k for r in chunk if not r.converged])
+    def gather(chunk: list) -> list:
+        for k in [r.k for r in chunk if not r.converged]:
+            if not runs or runs[-1][1] != k - 1:
+                runs.append([k, k])
+            runs[-1][1] = k
         return chunk
 
     chunks = threshold_chunks(rc.k_values, rc.phy, rc.traffic, rc.form, rc.search)
-    emit(map(gather, chunks), rc.out_format, rc.out_path)
-    # a run of consecutive k keeps "k minus its place among the failures"
-    runs = [[k for _, k in run] for _, run in groupby(enumerate(failing), lambda p: p[1] - p[0])]
+    emit(map(gather, chunks), rc.out_format, rc.out_path, THRESHOLD)
     if runs:
-        failed = ", ".join(f"{run[0]}..{run[-1]}" if run[1:] else str(run[0]) for run in runs)
+        failed = ", ".join(f"{lo}..{hi}" if hi > lo else str(lo) for lo, hi in runs)
         print(f"threshold did not converge for k = {failed}", file=sys.stderr)
     return EXIT_NO_CONVERGENCE if runs else EXIT_OK
 
@@ -672,9 +671,8 @@ def _run_optimal_k(rc: RunConfig) -> int:
     _require(rc.lam is not None, "optimal-k needs --lambda")
     _require(rc.k_max is not None, "optimal-k needs --k-max")
     k_best, metrics = optimal_k(rc.lam, rc.phy, rc.traffic, rc.form, rc.k_max)
-    record = {"k_best": k_best, "k_max": rc.k_max, "lambda": rc.lam}
-    record.update((key, getattr(metrics, attr)) for key, attr in list(_SWEEP_FIELDS.items())[2:])
-    emit(record, rc.out_format, rc.out_path)
+    fields = (getattr(metrics, name.removesuffix("_s")) for name in SWEEP_HEADER.split(",")[2:])
+    emit(iter([[(k_best, rc.k_max, rc.lam, *fields)]]), rc.out_format, rc.out_path, OPTIMAL_K)
     return EXIT_OK
 
 

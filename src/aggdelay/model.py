@@ -80,8 +80,8 @@ def _family_moments(family: PayloadFamily, mean=None, lo=None, hi=None, values=N
             return mean, mean**2
         if family is PayloadFamily.UNIFORM_RANGE:
             return (lo + hi) / 2.0, (hi - lo) ** 2 / 12.0
-        mean = sum(values) / len(values)
-        return mean, sum((v - mean) ** 2 for v in values) / len(values)
+        mean = math.fsum(values) / len(values)  # fsum: the same on every Python version
+        return mean, math.fsum((v - mean) ** 2 for v in values) / len(values)
     except OverflowError:
         raise ValueError(f"{family.value} payload moments (mean, variance) overflow") from None
 

@@ -157,8 +157,10 @@ def threshold_chunks(
     ``_break_even_cubic`` in (lambda_min, min(lambda_max, k/s_k, 1/s_1)), polished by Newton
     steps; a kernel call per list checks G(low) > 0 >= G(high) on lambda* (1 -/+ rel_tol/4).
     A k whose G is non-positive at lambda_min converges there, with a note; one without a
-    root in range, or whose G keeps its sign across the root, does not converge."""
-    k_values = tuple(k_values)
+    root in range, or whose G keeps its sign across the root, does not converge. A range or
+    other sequence is sliced as it is, any other iterable read into a tuple first."""
+    if not isinstance(k_values, Sequence):
+        k_values = tuple(k_values)
     if bad := [k for k in k_values if not isinstance(k, int) or k < 2]:
         raise ValueError(f"threshold search needs an integer k >= 2, got {bad[0]!r}")
     m = _moments(phy, traffic)

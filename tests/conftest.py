@@ -1,10 +1,12 @@
 import io
+import json
+import math
 from contextlib import redirect_stdout
 
 import pytest
 
 from aggdelay import PhyProfile, Standard, TrafficSpec, profile_for
-from aggdelay.cli import emit
+from aggdelay.cli import SWEEP, emit, fmt
 
 
 @pytest.fixture
@@ -48,9 +50,27 @@ def custom_profile(**overrides) -> PhyProfile:
     return PhyProfile(**fields)
 
 
-def sweep_text(grid, out_format: str = "csv") -> str:
-    """What ``emit`` writes to stdout for a sweep of the one chunk ``grid``."""
+def emitted(records, out_format: str = "json", table=None) -> str:
+    """What ``emit`` writes to stdout for ``records``."""
     out = io.StringIO()
     with redirect_stdout(out):
-        emit(iter([grid]), out_format, None)
+        emit(records, out_format, None, table)
     return out.getvalue()
+
+
+def sweep_text(grid, out_format: str = "csv") -> str:
+    """What ``emit`` writes to stdout for a sweep of the one chunk ``grid``."""
+    return emitted(iter([grid]), out_format, SWEEP)
+
+
+def per_cell_text(records, out_format: str) -> str:
+    """The README's CSV contract for a flat record (a dict) or a list of them with the same
+    keys, one formatter call per cell: ``fmt`` in CSV; in JSON json.dumps, with non-finite
+    floats as their CSV literals."""
+    rows = [records] if isinstance(records, dict) else records
+    if out_format == "csv":
+        return "\n".join([",".join(rows[0]), *(",".join(map(fmt, r.values())) for r in rows)]) + "\n"
+    rows = [{key: fmt(value) if isinstance(value, float) and not math.isfinite(value) else value
+             for key, value in row.items()} for row in rows]
+    data = rows[0] if isinstance(records, dict) else rows
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"

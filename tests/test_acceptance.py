@@ -38,9 +38,9 @@ from aggdelay import (
     system_time,
     validate_against_model,
 )
-from aggdelay.cli import _render, parse_run_config
+from aggdelay.cli import parse_run_config
 from aggdelay.presets import preset
-from conftest import custom_profile, sweep_text
+from conftest import custom_profile, emitted, sweep_text
 
 F1_100 = 6.311718220197248e-4
 F5_100 = 2.091047070008329e-2
@@ -241,7 +241,7 @@ def test_criterion_6_determinism(phy_b11, exp800):
             warmup_frames=600,
             k=4,
         )
-        first, second = (_render(simulate(config).to_dict(), "json") for _ in range(2))
+        first, second = (emitted(simulate(config).to_dict()) for _ in range(2))
         assert first.encode() == second.encode()
         rc = parse_run_config(preset("fig3"))
         lam_values = rc.grid.values()

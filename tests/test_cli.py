@@ -703,3 +703,18 @@ def test_non_finite_custom_phy_exits_2(tmp_path, capsys, key, bad):
     assert out == ""
     field = key.removesuffix("_us").removesuffix("_bps")
     assert err.startswith(f"error: {field} must be ") and "finite" in err
+
+
+def test_source_rates_sum_the_same_on_every_python_version(capsys):
+    """The builtin sum of floats is compensated from Python 3.12 on: 0.1 + 0.2 + 0.3 is
+    0.6000000000000001 before and 0.6 after. math.fsum gives 0.6 on each."""
+    code, out, _ = run(capsys, "simulate", "--sources", "0.1,0.2,0.3", "--dump-config")
+    assert code == EXIT_OK and json.loads(out)["lambda"] == 0.6
+
+
+def test_sweep_json_spells_an_overflowing_service_mean_as_a_string(capsys):
+    """A service mean past the float range is a cell like the others, not a bare inf."""
+    code, out, _ = run(capsys, "sweep", "--k", "2,10", "--lambda", "1",
+                       "--payload-mean-bits", "1e308", "--format", "json")
+    assert code == EXIT_OK
+    assert [row["service_mean_s"] for row in json.loads(out)] == ["inf", "inf"]

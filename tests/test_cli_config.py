@@ -361,3 +361,10 @@ def test_dump_config_prints_microseconds_as_given(capsys):
                        "--lambda", "100", "--dump-config")
     assert code == EXIT_OK
     assert json.loads(out)["phy"]["backoff_override_us"] == 30.75
+
+
+def test_a_k_range_stays_a_range():
+    """``A..B`` is held as the range itself, not a tuple of every k, and dumps as the list."""
+    rc = parse_run_config({"k": "2..2000000"})
+    assert type(rc.k_values) is range and rc.k_values == range(2, 2_000_001)
+    assert dump_run_config(parse_run_config({"k": "2..6"}))["k"] == [2, 3, 4, 5, 6]

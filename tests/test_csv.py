@@ -1,5 +1,5 @@
-"""CSV text through ``%`` templates against the per-cell ``fmt`` it replaced,
-and the read-only (k, lambda) columns the sweep writers format."""
+"""Table text through ``%`` templates against the per-cell ``fmt`` and json.dumps it
+replaced, and the read-only (k, lambda) columns the sweep writers format."""
 
 import math
 
@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aggdelay import PKForm, TrafficSpec, gain_grid, profile_for
-from aggdelay.cli import SWEEP_HEADER, _render, fmt
-from conftest import custom_profile, sweep_text
+from aggdelay.cli import FORMATS, SWEEP_HEADER, Table, fmt
+from conftest import custom_profile, emitted, per_cell_text, sweep_text
 
 SPECIAL_FLOATS = (
     0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
@@ -18,34 +18,41 @@ SPECIAL_FLOATS = (
     999999999999.5, 999999999999.4999, 1e-5, 0.1, 1.7976931348623157e308,
 )
 FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
-# Columns of one type each, and the mixed kinds the writers meet: validate's within_ci95
-# ("" or a bool), and ints, floats and None side by side.
-COLUMNS = st.sampled_from((
-    FLOATS, st.booleans(), st.integers(), st.text(), st.one_of(st.just(""), st.booleans()),
-    st.one_of(FLOATS, st.integers(), st.none()), st.one_of(st.text(), st.integers()),
-))
+# The cells of each column kind of a table spec, and the mixed kinds that records without
+# one meet: validate's within_ci95 ("" or a bool), and ints, floats and None side by side.
+KINDS = {float: FLOATS, bool: st.booleans(), int: st.integers(), str: st.text()}
+MIXED = (st.one_of(st.just(""), st.booleans()), st.one_of(FLOATS, st.integers(), st.none()),
+         st.one_of(st.text(), st.integers()))
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
-def per_cell_csv(rows) -> str:
-    """CSV text as one ``fmt`` call per cell."""
-    lines = [",".join(rows[0]), *(",".join(map(fmt, row.values())) for row in rows)]
-    return "\n".join(lines) + "\n"
-
-
 @st.composite
-def records(draw):
-    kinds = draw(st.lists(COLUMNS, min_size=1, max_size=6))
+def records(draw, columns):
+    kinds = draw(st.lists(columns, min_size=1, max_size=6))
     keys = [f"c{i}" for i in range(len(kinds))]
     n = draw(st.integers(1, 6))
-    return [{key: draw(kind) for key, kind in zip(keys, kinds)} for _ in range(n)]
+    return kinds, [{key: draw(KINDS.get(kind, kind)) for key, kind in zip(keys, kinds)}
+                   for _ in range(n)]
 
 
 @PROPERTY
-@given(records())
-def test_template_csv_equals_the_per_cell_fmt(rows):
-    assert _render(rows, "csv") == per_cell_csv(rows)
-    assert _render(rows[0], "csv") == per_cell_csv(rows[:1])
+@given(records(st.sampled_from(list(KINDS))))
+def test_a_column_spec_writes_the_per_cell_text(kinds_rows):
+    """Every kind's cells through a table's templates: records, and one record (lone)."""
+    kinds, rows = kinds_rows
+    spec, records = tuple(zip(rows[0], kinds)), [tuple(row.values()) for row in rows]
+    for out_format in FORMATS:
+        assert emitted(iter([records]), out_format, Table(spec)) == per_cell_text(rows, out_format)
+        lone = emitted(iter([records[:1]]), out_format, Table(spec, lone=True))
+        assert lone == per_cell_text(rows[0], out_format)
+
+
+@PROPERTY
+@given(records(st.sampled_from((*KINDS.values(), *MIXED))))
+def test_records_without_a_spec_are_written_cell_by_cell(kinds_rows):
+    _, rows = kinds_rows
+    assert emitted(rows, "csv") == per_cell_text(rows, "csv")
+    assert emitted(rows[0], "csv") == per_cell_text(rows[:1], "csv")
 
 
 @PROPERTY

@@ -26,8 +26,8 @@ from aggdelay import (
     overhead_gamma,
     profile_for,
 )
-from aggdelay.cli import _SWEEP_FIELDS, _render, fmt
-from conftest import custom_profile, sweep_text
+from aggdelay.cli import SWEEP_HEADER, fmt
+from conftest import custom_profile, per_cell_text, sweep_text
 
 DET = PKForm.DETERMINISTIC_SERVICE
 FIELDS = ("erlang_wait", "service_mean", "service_variance", "lambda_a", "rho",
@@ -167,9 +167,10 @@ def test_kernel_matches_reference_chain_bitwise():
 
 
 def test_columnar_sweep_text_matches_the_per_record_route():
-    """sweep_csv and sweep_json format the kernel's columns a k-row at a
-    time; their bytes must equal _render over one dict per QueueMetrics row."""
-    row_values = attrgetter(*_SWEEP_FIELDS.values())
+    """sweep_csv and sweep_json format the kernel's columns a k-row at a time; their
+    bytes must equal the per-cell text of one dict per QueueMetrics row."""
+    columns = SWEEP_HEADER.split(",")  # each the QueueMetrics attribute less _s, lam for lambda
+    row_values = attrgetter(*("lam" if c == "lambda" else c.removesuffix("_s") for c in columns))
     rng = random.Random(0x5EE9)
     # Overhead-free service: every k shares one stability limit, and just below
     # it rounding leaves k=7 unstable and k=1 stable, the one way to a +inf gain.
@@ -189,9 +190,9 @@ def test_columnar_sweep_text_matches_the_per_record_route():
     for phy, traffic, k_values, lams in cases:
         for form in PKForm:
             grid = gain_grid(k_values, lams, phy, traffic, form)
-            records = [dict(zip(_SWEEP_FIELDS, row_values(row))) for row in list(grid)]
-            assert sweep_text(grid, "csv") == _render(records, "csv")
-            assert sweep_text(grid, "json") == _render(records, "json")
+            records = [dict(zip(columns, row_values(row))) for row in list(grid)]
+            assert sweep_text(grid, "csv") == per_cell_text(records, "csv")
+            assert sweep_text(grid, "json") == per_cell_text(records, "json")
             gains.update("finite" if math.isfinite(g) and g else fmt(g) for g in grid.columns.gain.flat)
     assert gains == {"0", "finite", "inf", "-inf", "nan"}
 

@@ -385,3 +385,14 @@ def test_non_finite_rates_rejected(phy_b11, det800, bad):
         erlang_wait(2, bad)
     with pytest.raises(ValueError, match="finite"):
         queue_wait(2, bad, phy_b11, det800)
+
+
+@pytest.mark.parametrize("values, mean, variance", [
+    ([0.1, 0.2, 0.3], 0.19999999999999998, 0.006666666666666665),  # mean 0.20000000000000004
+    ([505.0, 396.0, 204.0, 117.6], 305.65, 23399.767499999998),  # variance 23399.7675
+])
+def test_empirical_moments_are_the_same_on_every_python_version(values, mean, variance):
+    """The sample moments are math.fsum sums, not the builtin sum, which is compensated
+    from Python 3.12 on: before 3.12 it gave the moments in the comments."""
+    spec = TrafficSpec.empirical(1.0, values)
+    assert (spec.payload_mean, spec.payload_variance) == (mean, variance)

@@ -33,8 +33,7 @@ from aggdelay import (
     validate_against_model,
 )
 import aggdelay.sim as sim_module
-from aggdelay.cli import _render
-from conftest import custom_profile
+from conftest import custom_profile, emitted
 
 MD1_SERVICE = 4.5127272727272735e-4
 MD1_LAMBDA = 1107.9774375503623  # gives rho = 0.5
@@ -91,7 +90,7 @@ def test_degenerate_single_measured_frame(phy_b11, det800):
     assert math.isfinite(result.sojourn_mean)
     assert math.isnan(result.sojourn_stddev)
     assert math.isnan(result.ci95_halfwidth)
-    assert json.loads(_render(result.to_dict(), "json"))["ci95_halfwidth_s"] == "nan"
+    assert json.loads(emitted(result.to_dict()))["ci95_halfwidth_s"] == "nan"
 
 
 def test_identical_seed_gives_bit_identical_results(phy_b11, exp800):
@@ -106,7 +105,7 @@ def test_identical_seed_gives_bit_identical_results(phy_b11, exp800):
     )
     a, b = simulate(config), simulate(config)
     assert a == b
-    assert _render(a.to_dict(), "json") == _render(b.to_dict(), "json")
+    assert emitted(a.to_dict()) == emitted(b.to_dict())
     c = simulate(replace(config, seed=778))
     assert c.sojourn_mean != a.sojourn_mean
 

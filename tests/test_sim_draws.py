@@ -26,9 +26,9 @@ from aggdelay import (
     PayloadFamily, SimConfig, SimMode, TrafficSpec, overhead_gamma, replications, simulate,
 )
 import aggdelay.sim as sim_module
-from aggdelay.cli import EXIT_SIM, _render, main
+from aggdelay.cli import EXIT_SIM, main
 from aggdelay.phy import profile_for
-from conftest import custom_profile
+from conftest import custom_profile, emitted
 
 FAMILIES = [
     TrafficSpec.deterministic(1000.0, 801.3),
@@ -347,5 +347,5 @@ MULTI_BLOCK = {
 def test_multi_block_runs_keep_their_bytes(name):
     config, digest = MULTI_BLOCK[name]
     result = simulate(config)
-    text = _render(result.to_dict(), "json") + repr(result.interbatch_cv)
+    text = emitted(result.to_dict()) + repr(result.interbatch_cv)
     assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -240,7 +240,7 @@ DENSE_KS = (*range(2, 21, 3), *range(30, 151, 20))
 @pytest.mark.parametrize("form", list(PKForm))
 def test_batched_thresholds_equal_the_per_k_solve_on_every_figure_preset(name, form):
     rc = parse_run_config(preset(name))
-    assert len(FIG_PRESETS) == 12 and rc.k_values == tuple(range(2, 21))
+    assert len(FIG_PRESETS) == 12 and rc.k_values == range(2, 21)
     for traffic in (rc.traffic, TrafficSpec.exponential(100.0, 800.0)):
         for ks in (rc.k_values, DENSE_KS):
             results = _assert_batched_equals_per_k(ks, rc.phy, traffic, form)

@@ -137,13 +137,14 @@ def test_a_failed_write_mid_stream_exits_2(out_format):
 def test_a_bad_rate_is_named_before_the_first_byte(monkeypatch, capsys, tmp_path, chunk):
     """max / min overflows, so every geometric rate after the first is inf: with a chunk
     of one point the first span is good and the second is not. An --output file is left
-    as it was, also when the one chunk's own kernel call finds the rate."""
+    as it was, also when the one chunk's own kernel call would find the rate, and
+    --dump-config rejects the grid as the run does."""
     monkeypatch.setattr(cli, "OPTIMAL_K_CHUNK", chunk)
     argv = ["sweep", "--k", "2,3", "--lambda", "1e-300:1e300:5", "--grid-kind", "geometric"]
     (out := tmp_path / "out.csv").write_text("earlier\n")
-    for extra in ([], ["--output", str(out)]):
+    for extra in ([], ["--output", str(out)], ["--dump-config"]):
         assert main(argv + extra) == 2
-        assert capsys.readouterr() == ("", "error: lambda must be positive and finite, got inf\n")
+        assert capsys.readouterr() == ("", "error: geometric lambda grid 1e-300:1e+300:5 overflows\n")
     assert out.read_text() == "earlier\n"
 
 
